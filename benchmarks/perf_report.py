@@ -1066,17 +1066,26 @@ def run_match_engine_report(
 ) -> Dict[str, Any]:
     """Similarity-join vs exhaustive-scan MD matching (ISSUE 9).
 
-    A DBLP-style master of *size* ``(title, ee)`` rows is probed with
-    *queries* lookups — typo'd master titles (a true match exists),
-    exact master titles, and foreign strings (no match) — under the
-    pure-similarity MD ``title ≈₂ title → ee ⇌ ee``.  The ``join``
-    engine answers through the filtered inverted-index pipeline; the
-    comparator is the reference engine's exhaustive full scan
-    (``use_suffix_tree=False``), the only *exact* reference — top-``l``
-    suffix-tree retrieval is lossy and cannot anchor an identity check.
-    Asserted: per-probe match lists identical, and strictly fewer
-    similarity verifications on the join side (the point of the filter
-    chain).  Recorded, never asserted: seconds, speedups and memory.
+    A DBLP-style master of *size* ``(title, year, ee)`` rows, spread over
+    20 year values, is probed with *queries* lookups — typo'd master
+    titles (a true match exists), exact master titles, and foreign
+    strings (no match) — under two premise shapes with the same
+    ``ee ⇌ ee`` consequence:
+
+    * ``similarity`` — ``title ≈₂ title``: the join probes one q-gram
+      index over the whole master;
+    * ``similarity+equality`` — ``year = year ∧ title ≈₂ title``: the
+      join filters inside the probe's year bucket.
+
+    The comparator is the reference engine's exhaustive scan
+    (``use_suffix_tree=False``: all of ``Dm``, or the year bucket), the
+    only *exact* reference — top-``l`` suffix-tree retrieval is lossy and
+    cannot anchor an identity check.  Asserted, per premise shape:
+    per-probe match lists identical, and strictly fewer similarity
+    verifications on the join side (the point of the filter chain).
+    Recorded, never asserted: seconds, speedups and memory.  The
+    top-level summary numbers are the ``similarity`` shape's; the two
+    flags hold for both shapes.
     """
     import gc
     import tracemalloc
@@ -1087,36 +1096,43 @@ def run_match_engine_report(
     from repro.relational import Relation, Schema
     from repro.similarity import edit_within
 
-    schema = Schema("PUB", ["title", "ee"])
+    schema = Schema("PUB", ["title", "year", "ee"])
     pool = NamePool(derive_rng(seed, "match-engine", "master"))
     master = Relation(schema)
     append = master.append_row_values
     started = time.perf_counter()
     titles: List[str] = []
+    years = 20
+    year_of = [str(1990 + i % years) for i in range(size)]
     for i in range(size):
         title = f"{pool.word(2)} {pool.word(2)} {pool.word(3)}"
         titles.append(title)
-        append([title, f"db/journals/x/{i}"], [1.0, 1.0])
+        append([title, year_of[i], f"db/journals/x/{i}"], [1.0, 1.0, 1.0])
     master_build_s = time.perf_counter() - started
 
     probe_rng = derive_rng(seed, "match-engine", "probes")
     probes_rel = Relation(schema)
     for i in range(queries):
         kind = i % 3
+        year = year_of[0]
         if kind == 0:  # one random edit of a master title: a true match
-            value = typo(probe_rng.choice(titles), probe_rng)
+            j = probe_rng.randrange(size)
+            value, year = typo(titles[j], probe_rng), year_of[j]
         elif kind == 1:  # verbatim master title
-            value = probe_rng.choice(titles)
+            j = probe_rng.randrange(size)
+            value, year = titles[j], year_of[j]
         else:  # foreign string, far from every master title
             value = f"zz{probe_rng.randrange(10**9):09d}qx{pool.word(4)}"
-        probes_rel.append_row_values([value, "probe"], [1.0, 1.0])
+        probes_rel.append_row_values([value, year, "probe"], [1.0, 1.0, 1.0])
     probes = [probes_rel.by_tid(tid) for tid in probes_rel.tids()]
 
-    md = MD(
-        schema, schema, [("title", "title", edit_within(2))], [("ee", "ee")]
-    )
+    similar = ("title", "title", edit_within(2))
+    premises = {
+        "similarity": [similar],
+        "similarity+equality": [("year", "year"), similar],
+    }
 
-    def run(engine: str):
+    def run(md, engine: str):
         gc.collect()
         tracemalloc.start()
         started = time.perf_counter()
@@ -1142,52 +1158,66 @@ def run_match_engine_report(
         return match_tids, build_s, lookup_s, peak, stats
 
     rows: List[Dict[str, Any]] = []
-    runs: Dict[str, Any] = {}
-    for engine in ("reference_scan", "join"):
-        match_tids, build_s, lookup_s, peak, stats = run(engine)
-        runs[engine] = (match_tids, lookup_s, stats)
-        rows.append(
-            {
-                "engine": engine,
-                "build_s": round(build_s, 6),
-                "lookup_s": round(lookup_s, 6),
-                "peak_mem_bytes": peak,
-                "candidates": stats["candidates"],
-                "verify_calls": stats["verify_calls"],
-                "matched_probes": sum(1 for m in match_tids if m),
-                **(
-                    {"join_stats": stats["join_stats"],
-                     "profile_cache_hits": stats["profile_cache_hits"]}
-                    if "join_stats" in stats
-                    else {}
-                ),
-            }
-        )
+    by_premise: Dict[str, Dict[str, Any]] = {}
+    for premise, clauses in premises.items():
+        md = MD(schema, schema, clauses, [("ee", "ee")])
+        runs: Dict[str, Any] = {}
+        for engine in ("reference_scan", "join"):
+            match_tids, build_s, lookup_s, peak, stats = run(md, engine)
+            runs[engine] = (match_tids, lookup_s, stats)
+            rows.append(
+                {
+                    "premise": premise,
+                    "engine": engine,
+                    "build_s": round(build_s, 6),
+                    "lookup_s": round(lookup_s, 6),
+                    "peak_mem_bytes": peak,
+                    "candidates": stats["candidates"],
+                    "verify_calls": stats["verify_calls"],
+                    "matched_probes": sum(1 for m in match_tids if m),
+                    **(
+                        {"join_stats": stats["join_stats"],
+                         "profile_cache_hits": stats["profile_cache_hits"]}
+                        if "join_stats" in stats
+                        else {}
+                    ),
+                }
+            )
+        scan_tids, scan_lookup_s, scan_stats = runs["reference_scan"]
+        join_tids, join_lookup_s, join_stats = runs["join"]
+        by_premise[premise] = {
+            "reference_lookup_s": round(scan_lookup_s, 6),
+            "join_lookup_s": round(join_lookup_s, 6),
+            "lookup_speedup": round(scan_lookup_s / join_lookup_s, 2)
+            if join_lookup_s
+            else None,
+            "reference_verify_calls": scan_stats["verify_calls"],
+            "join_verify_calls": join_stats["verify_calls"],
+            "verify_reduction": round(
+                scan_stats["verify_calls"] / join_stats["verify_calls"], 1
+            )
+            if join_stats["verify_calls"]
+            else None,
+            "matched_probes": sum(1 for m in scan_tids if m),
+            # Structural acceptance flags (never wall-clock):
+            "matches_identical": join_tids == scan_tids,
+            "fewer_verify_calls": join_stats["verify_calls"]
+            < scan_stats["verify_calls"],
+        }
 
-    scan_tids, scan_lookup_s, scan_stats = runs["reference_scan"]
-    join_tids, join_lookup_s, join_stats = runs["join"]
     summary = {
         "size": size,
         "queries": queries,
         "seed": seed,
         "master_build_s": round(master_build_s, 6),
-        "reference_lookup_s": round(scan_lookup_s, 6),
-        "join_lookup_s": round(join_lookup_s, 6),
-        "lookup_speedup": round(scan_lookup_s / join_lookup_s, 2)
-        if join_lookup_s
-        else None,
-        "reference_verify_calls": scan_stats["verify_calls"],
-        "join_verify_calls": join_stats["verify_calls"],
-        "verify_reduction": round(
-            scan_stats["verify_calls"] / join_stats["verify_calls"], 1
-        )
-        if join_stats["verify_calls"]
-        else None,
-        "matched_probes": sum(1 for m in scan_tids if m),
-        # Structural acceptance flags (never wall-clock):
-        "matches_identical": join_tids == scan_tids,
-        "fewer_verify_calls": join_stats["verify_calls"]
-        < scan_stats["verify_calls"],
+        **by_premise["similarity"],
+        "premises": by_premise,
+        "matches_identical": all(
+            v["matches_identical"] for v in by_premise.values()
+        ),
+        "fewer_verify_calls": all(
+            v["fewer_verify_calls"] for v in by_premise.values()
+        ),
     }
     return {
         "workload": {
@@ -1195,6 +1225,7 @@ def run_match_engine_report(
             "size": size,
             "queries": queries,
             "seed": seed,
+            "years": years,
         },
         "rows": rows,
         "summary": summary,
@@ -1844,16 +1875,18 @@ def main(argv=None) -> int:
         )
         report["match_engine"] = match
         entry = match["summary"]
-        print(
-            f"  match-engine size={entry['size']} queries={entry['queries']}: "
-            f"scan={entry['reference_lookup_s']:.2f}s "
-            f"join={entry['join_lookup_s']:.2f}s "
-            f"speedup={entry['lookup_speedup']}x "
-            f"verify_calls={entry['join_verify_calls']}/"
-            f"{entry['reference_verify_calls']} "
-            f"(x{entry['verify_reduction']} fewer) "
-            f"matches_identical={entry['matches_identical']}"
-        )
+        for premise, variant in entry["premises"].items():
+            print(
+                f"  match-engine[{premise}] size={entry['size']} "
+                f"queries={entry['queries']}: "
+                f"scan={variant['reference_lookup_s']:.2f}s "
+                f"join={variant['join_lookup_s']:.2f}s "
+                f"speedup={variant['lookup_speedup']}x "
+                f"verify_calls={variant['join_verify_calls']}/"
+                f"{variant['reference_verify_calls']} "
+                f"(x{variant['verify_reduction']} fewer) "
+                f"matches_identical={variant['matches_identical']}"
+            )
         ok &= entry["matches_identical"]
         ok &= entry["fewer_verify_calls"]
 

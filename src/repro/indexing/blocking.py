@@ -11,22 +11,33 @@ l ≤ 20 typically suffices") using two complementary indexes:
   master values by LCS, which upper-bounds candidates for bounded
   edit/Hamming distance (the ``max(|u|,|v|)/(K+1)`` LCS bound).
 
-:class:`MDBlockingIndex` combines both: when the MD has equality premise
-clauses the (small) exact bucket is scanned and every clause verified;
-otherwise similarity candidates seed the scan.  The similarity side is
+:class:`MDBlockingIndex` combines both.  The similarity side is
 engine-switched (``REPRO_MATCH_ENGINE``):
 
-* ``join`` (default) — the filtered inverted-index similarity join of
-  :mod:`repro.matching.simjoin`: length/prefix/count filters over a
-  q-gram index, then exact verification.  Lossless, so :attr:`is_exact`
-  holds and ``matches()`` is exhaustive by construction;
+* ``join`` (default) — the filtered similarity join of
+  :mod:`repro.matching.simjoin` for every premise with a join-filterable
+  similarity clause (edit-k or q-gram Jaccard-t).  A pure-similarity
+  premise probes one q-gram index over the whole master (length, prefix
+  and count filters, then exact verification).  A premise that also has
+  equality clauses first takes the probe's :class:`ExactIndex` bucket —
+  the master factorised by the equality key — and runs the length
+  window, count filter and verification over that bucket's distinct
+  values, grouped lazily on its first probe.  A bucket with fewer than
+  two distinct values has nothing to filter and is scanned.  Lossless
+  either way, so :attr:`is_exact` holds and ``matches()`` is exhaustive
+  by construction;
 * ``reference`` — the paper's per-lookup top-``l`` LCS retrieval from a
-  generalized suffix tree.  Fast but *lossy*: the cap can drop true
-  matches (``is_exact`` is False), which downstream code compensates for
-  with rare-path exhaustive re-verification.
+  generalized suffix tree for pure-similarity premises; equality
+  premises scan their exact bucket and verify every clause.  The tree is
+  fast but *lossy*: the cap can drop true matches (``is_exact`` is
+  False), which downstream code compensates for with rare-path
+  exhaustive re-verification.
 
-A ``use_suffix_tree=False`` escape hatch forces full scans under either
-engine — that is the baseline of the blocking ablation benchmark.
+Premises with no join-filterable clause (pure equality, Jaro–Winkler)
+scan the exact bucket under either engine.  A ``use_suffix_tree=False``
+escape hatch forces full scans (of the bucket, or of ``Dm``) under
+either engine — that is the oracle of the match-engine property tests
+and the baseline of the blocking ablation benchmark.
 """
 
 from __future__ import annotations
@@ -83,8 +94,9 @@ class MDBlockingIndex:
     top_l:
         The ``l`` of the top-``l`` LCS retrieval (paper default ≤ 20).
     use_suffix_tree:
-        When false, similarity clauses fall back to scanning all of
-        ``Dm`` (the ablation baseline) under either engine.
+        When false, matching scans the probe's equality bucket, or all of
+        ``Dm`` for a pure-similarity premise, under either engine (the
+        ablation baseline and the property tests' oracle).
     engine:
         ``"join"`` or ``"reference"``; defaults to the process-wide
         :func:`~repro.relational.columns.match_engine` flag.
@@ -106,6 +118,7 @@ class MDBlockingIndex:
         if self.engine not in ("join", "reference"):
             raise ValueError(f"unknown match engine {self.engine!r}")
         self._eq_clauses = [c for c in md.premise if c.is_equality]
+        self._eq_attrs = [c.attr for c in self._eq_clauses]
         self._sim_clauses = [c for c in md.premise if not c.is_equality]
         self._premise_attrs = tuple(dict.fromkeys(c.attr for c in md.premise))
         self._match_cache: Dict[Tuple[Any, ...], List[CTuple]] = {}
@@ -120,29 +133,41 @@ class MDBlockingIndex:
         # a usable edit budget; built lazily only when needed.
         self._trees: Dict[str, GeneralizedSuffixTree] = {}
         self._tree_values: Dict[str, Dict[int, List[CTuple]]] = {}
-        #: The similarity-join index (join engine, pure-similarity premise).
+        #: The similarity-join index (join engine): over the whole master
+        #: for a pure-similarity premise, filled bucket by bucket when the
+        #: premise also has equality clauses.
         self.join_index = None
         self._join_clause = None
+        #: The premise clauses left to check per tuple after the join.
+        self._residual: Tuple = ()
+        #: Equality key -> its bucket's value groups (``None``: scan it);
+        #: one-row buckets are scanned without an entry.
+        self._join_buckets: Dict[Tuple[Any, ...], Any] = {}
         self._positions: Optional[Dict[Optional[int], int]] = None
-        if use_suffix_tree and not self._eq_clauses:
-            if self.engine == "join":
-                # Imported lazily: ``matching`` imports the matcher, which
-                # imports this module — a module-level import would cycle.
-                from repro.matching.simjoin import QGramIndex
+        if use_suffix_tree and self.engine == "join":
+            # Imported lazily: ``matching`` imports the matcher, which
+            # imports this module — a module-level import would cycle.
+            from repro.matching.simjoin import QGramIndex
 
-                for clause in self._sim_clauses:
-                    spec = clause.join_filter()
-                    if spec is not None:
-                        self.join_index = QGramIndex(
-                            master, clause.master_attr, spec, clause.predicate
-                        )
-                        self._join_clause = clause
-                        break
-            else:
-                for clause in self._sim_clauses:
-                    if clause.predicate.edit_budget is not None:
-                        self._build_tree(clause.master_attr)
-                        break
+            for clause in self._sim_clauses:
+                spec = clause.join_filter()
+                if spec is not None:
+                    self.join_index = QGramIndex(
+                        None if self._exact is not None else master,
+                        clause.master_attr,
+                        spec,
+                        clause.predicate,
+                    )
+                    self._join_clause = clause
+                    residual = list(md._eval_order)
+                    residual.remove(clause)
+                    self._residual = tuple(residual)
+                    break
+        elif use_suffix_tree and not self._eq_clauses:
+            for clause in self._sim_clauses:
+                if clause.predicate.edit_budget is not None:
+                    self._build_tree(clause.master_attr)
+                    break
 
     @property
     def is_exact(self) -> bool:
@@ -161,7 +186,8 @@ class MDBlockingIndex:
     @property
     def verify_calls(self) -> int:
         """Total similarity verifications so far: full premise checks plus
-        (join engine) per-distinct-value driving-predicate checks."""
+        (join engine) per-distinct-value driving-predicate checks, over
+        the whole master or inside equality buckets."""
         total = self.stats["verify_calls"]
         if self.join_index is not None:
             total += self.join_index.stats["verify_calls"]
@@ -199,7 +225,7 @@ class MDBlockingIndex:
         """Master tuples worth verifying against *t* (superset of matches
         under the index's pruning guarantees)."""
         if self._exact is not None:
-            key = t.project([c.attr for c in self._eq_clauses])
+            key = t.project(self._eq_attrs)
             if any(is_null(v) for v in key):
                 return []
             return self._exact.lookup(key)
@@ -229,22 +255,45 @@ class MDBlockingIndex:
                 return out
         return self.master.tuples()
 
+    def _scan(self, t: CTuple, candidates: Iterable[CTuple]) -> List[CTuple]:
+        """The candidates whose full premise holds against *t*, one
+        verification per candidate, in candidate order."""
+        out: List[CTuple] = []
+        for s in candidates:
+            self.stats["candidates"] += 1
+            self.stats["verify_calls"] += 1
+            if self.md.premise_holds(t, s):
+                out.append(s)
+        return out
+
     def _join_matches(self, t: CTuple) -> List[CTuple]:
         """Join-engine ``matches()``: the driving predicate is verified
-        once per distinct master value (exactly, inside the join index);
-        only the residual premise clauses run per tuple.  The result is
-        sorted into master insertion order — byte-identical to filtering
-        a full scan."""
+        once per distinct master value (exactly, inside the join index) —
+        of the whole master, or of the probe's equality bucket when the
+        premise has equality clauses; only the residual premise clauses
+        run per tuple.  The result is sorted into master insertion order
+        — byte-identical to filtering a full scan."""
+        within = None
+        if self._exact is not None:
+            key = t.project(self._eq_attrs)
+            if any(is_null(v) for v in key):
+                return []
+            rows = self._exact.lookup(key)
+            if len(rows) > 1:  # grouped on the bucket's first probe
+                try:
+                    within = self._join_buckets[key]
+                except KeyError:
+                    within = self._join_buckets[key] = (
+                        self.join_index.group_rows(rows)
+                    )
+            if within is None:
+                return self._scan(t, rows)
         value = t[self._join_clause.attr]
         if is_null(value):
             return []
-        residual = list(self.md._eval_order)
-        try:
-            residual.remove(self._join_clause)
-        except ValueError:  # pragma: no cover - premise always holds it
-            pass
+        residual = self._residual
         out: List[CTuple] = []
-        for group in self.join_index.verified_groups(value):
+        for group in self.join_index.verified_groups(value, within):
             self.stats["candidates"] += len(group.tuples)
             if not residual:
                 out.extend(group.tuples)
@@ -265,33 +314,20 @@ class MDBlockingIndex:
     def matches(self, t: CTuple) -> List[CTuple]:
         """All master tuples whose full premise holds against *t*."""
         self.stats["lookups"] += 1
-        if self._exact is None and self.join_index is not None:
+        if self.join_index is not None:
             return self._join_matches(t)
-        out: List[CTuple] = []
-        for s in self.candidates(t):
-            self.stats["candidates"] += 1
-            self.stats["verify_calls"] += 1
-            if self.md.premise_holds(t, s):
-                out.append(s)
-        return out
+        return self._scan(t, self.candidates(t))
+
+    @staticmethod
+    def _witness(matched: List[CTuple]) -> Optional[CTuple]:
+        if not matched:
+            return None
+        return min(matched, key=lambda s: s.tid or 0)
 
     def find_match(self, t: CTuple) -> Optional[CTuple]:
-        """The first (smallest master tid) premise-satisfying master tuple.
-
-        Deterministic: candidates are ordered by master tid before
-        verification, so repeated runs pick the same witness.
-        """
-        if self._exact is None and self.join_index is not None:
-            matched = self._join_matches(t)
-            if not matched:
-                return None
-            return min(matched, key=lambda s: s.tid or 0)
-        best: Optional[CTuple] = None
-        for s in self.candidates(t):
-            if self.md.premise_holds(t, s):
-                if best is None or (s.tid or 0) < (best.tid or 0):
-                    best = s
-        return best
+        """The first (smallest master tid) premise-satisfying master
+        tuple: the deterministic witness among :meth:`matches`."""
+        return self._witness(self.matches(t))
 
     # ------------------------------------------------------------------
     # Memoized retrieval (the indexed rule engine's MD match cache)
@@ -313,10 +349,7 @@ class MDBlockingIndex:
 
     def cached_find_match(self, t: CTuple) -> Optional[CTuple]:
         """Memoized :meth:`find_match` (same deterministic witness)."""
-        matched = self.cached_matches(t)
-        if not matched:
-            return None
-        return min(matched, key=lambda s: s.tid or 0)
+        return self._witness(self.cached_matches(t))
 
     # ------------------------------------------------------------------
     # Snapshot support (session persistence re-warms the cache)

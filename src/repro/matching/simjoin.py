@@ -18,9 +18,9 @@ This module replaces that with the classic filtered inverted-index join
    frequency; each bucket holds inverted lists over only the first
    ``|G| - T_min + 1`` tokens of each profile, and a probe scans only
    its own prefix, so frequent grams never explode the candidate set;
-3. **count filter** — surviving ``(probe, group)`` pairs are checked
-   with a sorted-merge overlap count that aborts early once the
-   remaining tokens cannot reach the required bound;
+3. **count filter** — surviving ``(probe, group)`` pairs must share
+   at least the required number of tokens; token ids are distinct
+   within a profile, so the overlap is one set intersection;
 4. **verify** — survivors are confirmed with the exact predicate (banded
    edit distance), or, for Jaccard, with exact set arithmetic over the
    already-tokenized profiles — no re-tokenization, no approximation.
@@ -29,7 +29,14 @@ Every filter is an upper bound a true match cannot violate, so the
 pipeline is *lossless*: ``matches()`` through this engine is exhaustive
 by construction, and byte-identical to a full scan.  The engine sits
 behind ``REPRO_MATCH_ENGINE`` (see :mod:`repro.relational.columns`);
-``indexing/blocking.py`` dispatches to it for pure-similarity premises.
+``indexing/blocking.py`` dispatches to it for every premise with a
+join-filterable similarity clause.  A pure-similarity premise probes one
+index over the whole master.  A premise that also has equality clauses
+probes inside the master's equality bucket instead: the index starts
+empty, grows its token vocabulary as buckets are grouped
+(:meth:`QGramIndex.group_rows`), and runs the length window, count
+filter and verification over the bucket's value groups — no inverted
+lists, since a bucket holds only a handful of distinct values.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from repro.similarity.qgrams import (
     qgram_set,
 )
 
-__all__ = ["ProfileCache", "QGramIndex", "ValueGroup"]
+__all__ = ["GroupSet", "ProfileCache", "QGramIndex", "ValueGroup"]
 
 
 class ProfileCache:
@@ -116,6 +123,50 @@ class ValueGroup:
         self.tokens: array = array("l")
 
 
+class GroupSet:
+    """Distinct-value groups of some master rows, bucketed by size key.
+
+    ``members`` maps a size key (string length for edit-k, gram-set size
+    for Jaccard-t) to group ids — the length filter's unit.  ``postings``
+    holds the prefix filter's inverted lists (size key -> token id ->
+    gids); it is ``None`` for an equality bucket, whose few groups all go
+    straight to the count filter.
+    """
+
+    __slots__ = ("groups", "members", "postings")
+
+    def __init__(
+        self,
+        groups: List[ValueGroup],
+        members: Dict[int, List[int]],
+        postings: Optional[Dict[int, Dict[int, array]]] = None,
+    ):
+        self.groups = groups
+        self.members = members
+        self.postings = postings
+
+
+def _group_by_value(rows: Iterable[CTuple], attr: str) -> List[ValueGroup]:
+    """*rows* grouped by exact ``(type, value)`` of *attr*, first-encounter
+    order; nulls skipped, unhashable values get a group each."""
+    by_key: Dict[Tuple[type, Any], List[CTuple]] = {}
+    keyed: List[Tuple[Any, List[CTuple]]] = []
+    for t in rows:
+        value = t[attr]
+        if is_null(value):
+            continue
+        try:
+            grouped = by_key.get((value.__class__, value))
+            if grouped is None:
+                grouped = by_key[(value.__class__, value)] = []
+                keyed.append((value, grouped))
+        except TypeError:  # unhashable: own group, no dedup
+            grouped = []
+            keyed.append((value, grouped))
+        grouped.append(t)
+    return [ValueGroup(value, _as_str(value), grouped) for value, grouped in keyed]
+
+
 class QGramIndex:
     """A length-bucketed q-gram inverted index over one master attribute.
 
@@ -125,11 +176,18 @@ class QGramIndex:
     its result is exactly the set of distinct master values matching the
     probe.  ``stats`` records probe/candidate/verify counters for the
     benchmark's filter-effectiveness columns.
+
+    With ``master=None`` the index starts empty: it serves premises that
+    also have equality clauses, whose probes run inside one equality
+    bucket's :meth:`group_rows` (length window, count filter and
+    verification, no prefix filter).  Token ids are then handed out as
+    buckets are grouped — the count filter and Jaccard verification need
+    one consistent token order, not a frequency-sorted one.
     """
 
     def __init__(
         self,
-        master: Relation,
+        master: Optional[Relation],
         attr: str,
         spec: JoinFilterSpec,
         predicate: SimilarityPredicate,
@@ -143,6 +201,7 @@ class QGramIndex:
             tokenize = lambda s: tuple(sorted(qgram_set(s, spec.q)))  # noqa: E731
         else:
             raise ValueError(f"unknown join filter kind {spec.kind!r}")
+        self._tokenize = tokenize
         self.profiles = ProfileCache(tokenize)
         self.stats: Dict[str, int] = {
             "probes": 0,
@@ -153,17 +212,16 @@ class QGramIndex:
             "verify_matches": 0,
         }
         self.groups: List[ValueGroup] = []
-        #: size key -> token id -> gids whose prefix holds the token.
-        self._buckets: Dict[int, Dict[int, array]] = {}
-        #: size key -> every gid in the bucket (for the no-prune path).
-        self._members: Dict[int, List[int]] = {}
+        self._all = GroupSet(self.groups, {}, {})
         self._token_ids: Dict[Any, int] = {}
         #: Probe-side tokens absent from the master vocabulary get stable
         #: negative ids: globally rarest (they sort first), never present
         #: in any inverted list, but still occupying prefix slots — both
-        #: required for the prefix filter's total-order argument.
+        #: required for the prefix filter's total-order argument.  Only
+        #: whole-master probes use it; bucket probes number theirs afresh.
         self._unknown: Dict[Any, int] = {}
-        self._build(master)
+        if master is not None:
+            self._build(master)
 
     # ------------------------------------------------------------------
     # Build
@@ -174,40 +232,23 @@ class QGramIndex:
         index once, no per-tuple dict reads); dict-backed masters group by
         ``(type, value)``."""
         store = master.column_store
+        if store is None:
+            return _group_by_value(master, self.attr)
         groups: List[ValueGroup] = []
-        if store is not None:
-            refs = master.column(self.attr)
-            by_ref: Dict[int, List[CTuple]] = {}
-            for t, ref in zip(master, refs):
-                rows = by_ref.get(ref)
-                if rows is None:
-                    rows = by_ref[ref] = []
-                rows.append(t)
-            values = store.table.values
-            strings = store.table.strings(list(by_ref))
-            for (ref, rows), string in zip(by_ref.items(), strings):
-                value = values[ref]
-                if is_null(value):
-                    continue
-                groups.append(ValueGroup(value, string, rows))
-            return groups
-        by_key: Dict[Tuple[type, Any], List[CTuple]] = {}
-        keyed: List[Tuple[Any, List[CTuple]]] = []
-        for t in master:
-            value = t[self.attr]
+        refs = master.column(self.attr)
+        by_ref: Dict[int, List[CTuple]] = {}
+        for t, ref in zip(master, refs):
+            rows = by_ref.get(ref)
+            if rows is None:
+                rows = by_ref[ref] = []
+            rows.append(t)
+        values = store.table.values
+        strings = store.table.strings(list(by_ref))
+        for (ref, rows), string in zip(by_ref.items(), strings):
+            value = values[ref]
             if is_null(value):
                 continue
-            try:
-                rows = by_key.get((value.__class__, value))
-                if rows is None:
-                    rows = by_key[(value.__class__, value)] = []
-                    keyed.append((value, rows))
-            except TypeError:  # unhashable: own group, no dedup
-                rows = []
-                keyed.append((value, rows))
-            rows.append(t)
-        for value, rows in keyed:
-            groups.append(ValueGroup(value, _as_str(value), rows))
+            groups.append(ValueGroup(value, string, rows))
         return groups
 
     def _index_prefix_length(self, size: int) -> int:
@@ -216,8 +257,11 @@ class QGramIndex:
             return min(size, edit_prefix_length(spec.edit_budget, spec.q))
         return min(size, max(jaccard_prefix_length(size, spec.threshold), 0))
 
+    def _size_key(self, group: ValueGroup) -> int:
+        return len(group.string) if self.spec.kind == "edit" else len(group.tokens)
+
     def _build(self, master: Relation) -> None:
-        self.groups = self._value_groups(master)
+        self.groups[:] = self._value_groups(master)
         raw: List[Tuple[Any, ...]] = []
         frequency: Dict[Any, int] = {}
         for group in self.groups:
@@ -228,29 +272,64 @@ class QGramIndex:
         order = sorted(frequency, key=lambda token: (frequency[token], token))
         self._token_ids = {token: i for i, token in enumerate(order)}
         token_ids = self._token_ids
+        members, postings = self._all.members, self._all.postings
         for gid, (group, prof) in enumerate(zip(self.groups, raw)):
             ids = sorted(token_ids[token] for token in prof)
             group.tokens = array("l", ids)
-            size_key = (
-                len(group.string) if self.spec.kind == "edit" else len(ids)
-            )
-            bucket = self._buckets.get(size_key)
+            size_key = self._size_key(group)
+            bucket = postings.get(size_key)
             if bucket is None:
-                bucket = self._buckets[size_key] = {}
-                self._members[size_key] = []
-            self._members[size_key].append(gid)
+                bucket = postings[size_key] = {}
+                members[size_key] = []
+            members[size_key].append(gid)
             for token_id in ids[: self._index_prefix_length(len(ids))]:
-                postings = bucket.get(token_id)
-                if postings is None:
-                    postings = bucket[token_id] = array("l")
-                postings.append(gid)
+                lists = bucket.get(token_id)
+                if lists is None:
+                    lists = bucket[token_id] = array("l")
+                lists.append(gid)
+
+    def group_rows(self, rows: Sequence[CTuple]) -> Optional[GroupSet]:
+        """One equality bucket's master *rows* as a :class:`GroupSet`
+        without postings, or ``None`` when the rows hold fewer than two
+        distinct non-null values — then there is nothing to filter and
+        the caller scans the bucket.
+
+        Each group keeps only its encoded token array; tokens new to the
+        vocabulary get the next free id, and no token profile is cached.
+        """
+        attr = self.attr
+        first = None
+        for t in rows:  # most buckets hold one value: allocate nothing
+            value = t[attr]
+            if is_null(value):
+                continue
+            if first is None:
+                first = value
+            elif value.__class__ is not first.__class__ or value != first:
+                break
+        else:
+            return None
+        groups = _group_by_value(rows, attr)
+        token_ids = self._token_ids
+        members: Dict[int, List[int]] = {}
+        for gid, group in enumerate(groups):
+            group.tokens = array(
+                "l",
+                sorted(
+                    token_ids.setdefault(token, len(token_ids))
+                    for token in self._tokenize(group.string)
+                ),
+            )
+            members.setdefault(self._size_key(group), []).append(gid)
+        return GroupSet(groups, members)
 
     # ------------------------------------------------------------------
     # Probe
     # ------------------------------------------------------------------
-    def _encode(self, profile: Tuple[Any, ...]) -> array:
+    def _encode(self, profile: Tuple[Any, ...], unknown: Dict[Any, int]) -> array:
+        """*profile* as sorted token ids; tokens outside the vocabulary get
+        negative ids from *unknown*."""
         token_ids = self._token_ids
-        unknown = self._unknown
         out = []
         for token in profile:
             token_id = token_ids.get(token)
@@ -262,7 +341,9 @@ class QGramIndex:
         out.sort()
         return array("l", out)
 
-    def _admissible(self, string: str, probe_size: int) -> Iterator[Tuple[int, int]]:
+    def _admissible(
+        self, string: str, probe_size: int, members: Dict[int, List[int]]
+    ) -> Iterator[Tuple[int, int]]:
         """Yield ``(size_key, required_overlap)`` for every bucket a true
         match of this probe could inhabit."""
         spec = self.spec
@@ -273,60 +354,38 @@ class QGramIndex:
                 yield size_key, edit_overlap_bound(length, size_key, k, q)
             return
         lo, hi = jaccard_size_window(probe_size, spec.threshold)
-        if hi - lo + 1 > len(self._members):
-            keys: Iterable[int] = [b for b in self._members if lo <= b <= hi]
+        if hi - lo + 1 > len(members):
+            keys: Iterable[int] = [b for b in members if lo <= b <= hi]
         else:
             keys = range(lo, hi + 1)
         for size_key in keys:
             yield size_key, jaccard_overlap_bound(probe_size, size_key, spec.threshold)
 
-    @staticmethod
-    def _overlap_at_least(a: array, b: array, need: int) -> bool:
-        """Whether two sorted token arrays share >= *need* tokens, with an
-        early abort once the remainder cannot reach the bound."""
-        i = j = shared = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            if shared + min(la - i, lb - j) < need:
-                return False
-            x, y = a[i], b[j]
-            if x == y:
-                shared += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-        return shared >= need
-
-    @staticmethod
-    def _overlap(a: array, b: array) -> int:
-        i = j = shared = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            x, y = a[i], b[j]
-            if x == y:
-                shared += 1
-                i += 1
-                j += 1
-            elif x < y:
-                i += 1
-            else:
-                j += 1
-        return shared
-
-    def probe_groups(self, value: Any) -> List[ValueGroup]:
-        """Value groups surviving the length/prefix/count filters — a
-        guaranteed superset of the true matches, in group-build order."""
+    def _probe(
+        self, value: Any, within: Optional[GroupSet]
+    ) -> Tuple[set, List[ValueGroup]]:
+        """The probe's token-id set and the groups of *within* (default:
+        the whole-master index) surviving the filters, in group-build
+        order."""
         self.stats["probes"] += 1
         string = _as_str(value)
-        probe = self._encode(self.profiles.profile(value))
+        if within is None:
+            within = self._all
+            probe = self._encode(self.profiles.profile(value), self._unknown)
+        else:
+            # Every token of *within* is already in the vocabulary, and no
+            # prefix filter runs here, so tokens new to the vocabulary only
+            # need ids distinct within this probe: nothing is retained.
+            probe = self._encode(self._tokenize(string), {})
         probe_size = len(probe)
-        groups = self.groups
+        # Token ids are distinct within a profile (multiset grams carry
+        # their occurrence number), so a set intersection counts the
+        # overlap exactly — the count filter, run in C.
+        probe_set = set(probe)
+        groups, postings = within.groups, within.postings
         out: List[int] = []
-        for size_key, need in self._admissible(string, probe_size):
-            members = self._members.get(size_key)
+        for size_key, need in self._admissible(string, probe_size, within.members):
+            members = within.members.get(size_key)
             if not members:
                 continue
             if need <= 0:
@@ -335,39 +394,50 @@ class QGramIndex:
             sample = groups[members[0]]
             if need > min(probe_size, len(sample.tokens)):
                 continue  # overlap bound exceeds either set: impossible
-            bucket = self._buckets[size_key]
-            seen = set()
-            for token_id in probe[: probe_size - need + 1]:
-                if token_id < 0:
-                    continue  # unknown token: counts toward the prefix,
-                    # can never hit an inverted list
-                postings = bucket.get(token_id)
-                if postings is not None:
-                    seen.update(postings)
-            self.stats["prefix_candidates"] += len(seen)
-            for gid in seen:
+            if postings is None:
+                candidates: Iterable[int] = members
+            else:
+                bucket = postings[size_key]
+                seen = set()
+                for token_id in probe[: probe_size - need + 1]:
+                    if token_id < 0:
+                        continue  # unknown token: counts toward the prefix,
+                        # can never hit an inverted list
+                    lists = bucket.get(token_id)
+                    if lists is not None:
+                        seen.update(lists)
+                self.stats["prefix_candidates"] += len(seen)
+                candidates = seen
+            for gid in candidates:
                 self.stats["count_checks"] += 1
-                if self._overlap_at_least(probe, groups[gid].tokens, need):
+                if len(probe_set.intersection(groups[gid].tokens)) >= need:
                     out.append(gid)
         out.sort()
         self.stats["filter_survivors"] += len(out)
-        return [groups[gid] for gid in out]
+        return probe_set, [groups[gid] for gid in out]
 
-    def verified_groups(self, value: Any) -> List[ValueGroup]:
-        """Exactly the value groups whose value satisfies the driving
-        predicate against *value* (filter pipeline + exact verification)."""
-        survivors = self.probe_groups(value)
+    def probe_groups(self, value: Any) -> List[ValueGroup]:
+        """Value groups surviving the length/prefix/count filters — a
+        guaranteed superset of the true matches, in group-build order."""
+        return self._probe(value, None)[1]
+
+    def verified_groups(
+        self, value: Any, within: Optional[GroupSet] = None
+    ) -> List[ValueGroup]:
+        """Exactly the value groups (of *within*, default the whole
+        master) whose value satisfies the driving predicate against
+        *value* (filter pipeline + exact verification)."""
+        probe, survivors = self._probe(value, within)
         out: List[ValueGroup] = []
         if self.spec.kind == "jaccard":
-            # Verify from the indexed gram sets: same integer
+            # Verify from the encoded gram sets: same integer
             # |intersection| / |union| the predicate computes, without
             # re-tokenizing either side.
-            probe = self._encode(self.profiles.profile(value))
             probe_size = len(probe)
             threshold = self.spec.threshold
             for group in survivors:
                 self.stats["verify_calls"] += 1
-                shared = self._overlap(probe, group.tokens)
+                shared = len(probe.intersection(group.tokens))
                 union = probe_size + len(group.tokens) - shared
                 similarity = 1.0 if union == 0 else shared / union
                 if similarity >= threshold:

@@ -244,14 +244,23 @@ class CleaningSession:
         """Static closure helpers derived from the bound rule set."""
         # Per-tuple rules (constant CFDs, MDs): a perturbed cell in the
         # rule's scope perturbs the rule's target on the *same* tuple.
+        # Conversely, a perturbed target re-runs the rule, which must then
+        # read the premise cells a from-scratch run reads: their base values.
         pt: Dict[str, Dict[str, None]] = {}
+        premises: Dict[str, Dict[str, None]] = {}
         for rule in self.rules:
             if getattr(rule, "cfd", None) is not None and rule.cfd.is_variable:
                 continue
+            rhs = rule.rhs_attr()
             for attr in rule.scope_attrs():
-                pt.setdefault(attr, {})[rule.rhs_attr()] = None
+                pt.setdefault(attr, {})[rhs] = None
+                if attr != rhs:
+                    premises.setdefault(rhs, {})[attr] = None
         self._pt_rhs_by_attr: Dict[str, Tuple[str, ...]] = {
             attr: tuple(rhs) for attr, rhs in pt.items()
+        }
+        self._pt_premises_by_rhs: Dict[str, Tuple[str, ...]] = {
+            rhs: tuple(attrs) for rhs, attrs in premises.items()
         }
         # Premise attributes of variable CFDs: a perturbed cell here can
         # change group membership, which voids the scoped-replay locality
@@ -584,7 +593,7 @@ class CleaningSession:
     # ------------------------------------------------------------------
     # Incremental apply
     # ------------------------------------------------------------------
-    def apply(self, changeset: Changeset) -> ApplyResult:
+    def apply(self, changeset: Changeset) -> Optional[ApplyResult]:
         """Re-clean after *changeset*; exact, and scoped when provably safe.
 
         The changeset edits the session's **base** (dirty) relation; the
@@ -592,9 +601,15 @@ class CleaningSession:
         ``clean()`` of the edited base would produce — via the scoped
         replay when the delta's closure is local, via a warm full replay
         otherwise (see the module docstring).
+
+        An **op-less** changeset is a contractual no-op, as on
+        :meth:`apply_many` and on the sharded session: returns ``None``
+        after the lifecycle check and touches no session state.
         """
         if self.working is None or self.base is None:
             raise DataError("CleaningSession.apply() requires a prior clean()")
+        if not changeset.ops:
+            return None
         # All-or-nothing is inherited from Changeset.apply_to, which
         # validates every op before mutating anything; the bookkeeping
         # below it (seeds, dead-tid pruning) only runs after it succeeds.
@@ -749,12 +764,7 @@ class CleaningSession:
         Callers coalescing deltas (``flush()``, the online service) rely
         on this instead of a degenerate zero-op replay.
         """
-        if self.working is None or self.base is None:
-            raise DataError("CleaningSession.apply_many() requires a prior clean()")
-        merged = Changeset.concat(changesets)
-        if not merged.ops:
-            return None
-        return self.apply(merged)
+        return self.apply(Changeset.concat(changesets))
 
     def _full_replay(self, timings: Dict[str, float]) -> ApplyResult:
         """Exact fallback: re-clean the edited base inside the session.
@@ -794,7 +804,9 @@ class CleaningSession:
 
         Propagation: a perturbed cell in a per-tuple rule's scope
         (constant CFD, MD) perturbs that rule's target on the same tuple,
-        recursively; a perturbed cell that is a variable-CFD store's
+        recursively; a perturbed target perturbs the rule's premise cells
+        on the same tuple that the superseded run rewrote (the replay must
+        read their base values, as a from-scratch run does); a perturbed cell that is a variable-CFD store's
         target perturbs the target cells of the owner's current *and*
         base groups (their votes are re-counted from base values).
 
@@ -824,6 +836,9 @@ class CleaningSession:
             for rhs in self._pt_rhs_by_attr.get(attr, ()):
                 if (tid, rhs) not in processed:
                     stack.append((tid, rhs))
+            for y in self._pt_premises_by_rhs.get(attr, ()):
+                if (tid, y) in fixed_cells and (tid, y) not in processed:
+                    stack.append((tid, y))
             for wstore, bstore in self._var_stores_by_attr.get(attr, ()):
                 rhs = wstore.rhs
                 lhs = wstore.lhs

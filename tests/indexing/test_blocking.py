@@ -168,3 +168,90 @@ class TestTopLDroppedMatchRegression:
         ]
         # the warmed cache answered without a new probe
         assert fresh.join_index.stats["probes"] == 0
+
+
+class TestMixedPremiseJoin:
+    """Premises with equality clauses plus a join-filterable similarity
+    clause: the join runs inside the probe's equality bucket, and a
+    bucket with fewer than two distinct compared values is scanned."""
+
+    @pytest.fixture()
+    def schema(self) -> Schema:
+        return Schema("P", ["year", "title", "ee"])
+
+    @pytest.fixture()
+    def master(self, schema) -> Relation:
+        return Relation.from_dicts(
+            schema,
+            [
+                {"year": "2001", "title": "record matching", "ee": "a"},
+                {"year": "2001", "title": "data repairing", "ee": "b"},
+                {"year": "2001", "title": "record matchings", "ee": "c"},
+                {"year": "2002", "title": "master data", "ee": "d"},
+                {"year": "2002", "title": "master data", "ee": "e"},
+                {"year": "2001", "title": NULL, "ee": "f"},
+            ],
+        )
+
+    @pytest.fixture()
+    def md(self, schema) -> MD:
+        return MD(
+            schema, schema,
+            [("title", "title", edit_within(2)), ("year", "year")],
+            [("ee", "ee")],
+        )
+
+    def _probe(self, schema, year, title):
+        return Relation.from_dicts(
+            schema, [{"year": year, "title": title, "ee": "?"}]
+        ).by_tid(0)
+
+    def test_multi_value_bucket_is_filtered(self, schema, master, md):
+        index = MDBlockingIndex(md, master, engine="join")
+        assert index.is_exact and index.join_index is not None
+        probe = self._probe(schema, "2001", "record matchin")
+        assert [s.tid for s in index.matches(probe)] == [0, 2]
+        (groups,) = index._join_buckets.values()
+        # three distinct non-null titles, the null row left out
+        assert sorted(g.string for g in groups.groups) == [
+            "data repairing", "record matching", "record matchings",
+        ]
+        assert groups.postings is None
+        # filters dropped "data repairing" before verification
+        assert index.join_index.stats["verify_calls"] == 2
+
+    def test_one_value_bucket_is_scanned(self, schema, master, md):
+        index = MDBlockingIndex(md, master, engine="join")
+        probe = self._probe(schema, "2002", "master dat")
+        assert [s.tid for s in index.matches(probe)] == [3, 4]
+        assert list(index._join_buckets.values()) == [None]
+        assert index.join_index.stats["probes"] == 0
+        assert index.verify_calls == 2  # one premise check per row
+
+    def test_counters_include_bucket_verifications(self, schema, master, md):
+        index = MDBlockingIndex(md, master, engine="join")
+        probe = self._probe(schema, "2001", "record matchin")
+        index.find_match(probe)  # one dispatch: counted like matches()
+        assert index.stats["lookups"] == 1
+        assert index.stats["candidates"] == 2
+        # two join verifications, then the residual year check per row
+        assert index.verify_calls == 2 + 2
+
+    def test_find_match_is_min_tid_of_matches(self, schema, master, md):
+        scan = MDBlockingIndex(md, master, use_suffix_tree=False, engine="reference")
+        join = MDBlockingIndex(md, master, engine="join")
+        for year, title in [("2001", "record matchings"), ("2002", "master"),
+                            ("2003", "record matching"), (NULL, "data repairing")]:
+            probe = self._probe(schema, year, title)
+            want = scan.find_match(probe)
+            got = join.find_match(probe)
+            assert (got.tid if got else None) == (want.tid if want else None)
+            matched = join.matches(probe)
+            assert got is (min(matched, key=lambda s: s.tid) if matched else None)
+
+    def test_reference_engine_keeps_the_bucket_scan(self, schema, master, md):
+        index = MDBlockingIndex(md, master, engine="reference")
+        assert index.join_index is None
+        probe = self._probe(schema, "2001", "record matchin")
+        assert [s.tid for s in index.matches(probe)] == [0, 2]
+        assert index.verify_calls == 4  # every row of the 2001 bucket

@@ -2,9 +2,12 @@
 byte-identical to exhaustive reference matching.
 
 ``REPRO_MATCH_ENGINE`` selects how ``MDBlockingIndex`` retrieves
-similarity candidates for pure-similarity MD premises: the filtered
-inverted-index join of ``matching/simjoin.py`` (``join``, the default)
-versus the per-lookup top-``l`` suffix-tree retrieval (``reference``).
+similarity candidates: the filtered similarity join of
+``matching/simjoin.py`` (``join``, the default — over the whole master
+for pure-similarity premises, inside the probe's equality bucket when
+the premise also has equality clauses) versus the per-lookup top-``l``
+suffix-tree retrieval for pure-similarity premises and the exhaustive
+bucket scan for the others (``reference``).
 The join engine's filters are *necessary* conditions, so two properties
 must hold everywhere:
 
@@ -18,20 +21,26 @@ must hold everywhere:
 Three families:
 
 1. **Testbed equivalence** — full cleans of the DBLP and HOSP testbeds
+   (whose similarity MDs carry equality clauses: the bucketed join)
    under all four backend×match-engine configurations, plus a
-   pure-similarity-premise workload that actually exercises the join
-   path inside a cleaning session.
+   pure-similarity-premise workload that exercises the whole-master
+   join inside a cleaning session.
 2. **Fuzzed lookup equivalence** — hypothesis-generated master values,
    probes, and master edit/insert mutations between lookups (the index
    assumes an immutable master, so mutation means rebuild); candidates
-   ⊇ scan matches and matches/find_match byte-identical, for both the
-   edit-k and Jaccard-t filter families.
+   ⊇ scan matches and matches/find_match/cached_matches byte-identical
+   to the ``use_suffix_tree=False`` scan, for both the edit-k and
+   Jaccard-t filter families and both premise shapes the join serves:
+   similarity-only, and similarity plus an equality clause on a
+   low-cardinality group attribute (the join then runs inside the
+   probe's equality bucket — one-value buckets, duplicate master values
+   and nulls on either attribute included).
 3. **Flag mechanics** — the engine switch validates input, restores on
    exit, and the per-index override beats the process-wide flag.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import MD
@@ -39,7 +48,7 @@ from repro.core import UniCleanConfig
 from repro.evaluation import generate
 from repro.indexing import MDBlockingIndex
 from repro.pipeline import CleaningSession
-from repro.relational import Relation, Schema
+from repro.relational import NULL, Relation, Schema
 from repro.relational.columns import (
     match_engine,
     set_match_engine,
@@ -134,9 +143,9 @@ def test_hosp_clean_identical_across_match_engines(seed):
 
 
 # A workload whose MD premise is *pure similarity* — no equality clause —
-# so cleaning sessions actually route through the similarity engine (the
-# testbeds above all carry equality clauses and take the exact-index
-# path).  The master stays below top_l so the reference suffix tree is
+# so cleaning sessions route through the whole-master q-gram index (the
+# testbeds above all carry equality clauses and join inside equality
+# buckets).  The master stays below top_l so the reference suffix tree is
 # exhaustive here and byte-identity is well-defined.
 SIM_SCHEMA = Schema("S", ["name", "grade"])
 SIM_MASTER_ROWS = [
@@ -181,24 +190,37 @@ def test_pure_similarity_premise_clean_identical_across_configs():
 # ----------------------------------------------------------------------
 # 2. Fuzzed lookup equivalence
 # ----------------------------------------------------------------------
+FUZZ_SCHEMA = Schema("F", ["grp", "name", "grade"])
 WORDS = ["alpha", "beta", "gamma", "delta", "omega", "zeta"]
 names = st.lists(
     st.sampled_from(WORDS), min_size=1, max_size=3
 ).map(" ".join)
+maybe_names = st.one_of(names, names, names, st.just(NULL))
+groups = st.sampled_from(["g1", "g1", "g2", NULL])
 typo_ops = st.sampled_from(["drop", "dup", "swap", "none"])
-master_rows = st.lists(names, min_size=1, max_size=10)
+master_rows = st.lists(st.tuples(groups, maybe_names), min_size=1, max_size=10)
 mutations = st.lists(
     st.one_of(
-        st.tuples(st.just("insert"), names),
-        st.tuples(st.just("edit"), st.integers(min_value=0, max_value=99), names),
+        st.tuples(st.just("insert"), groups, maybe_names),
+        st.tuples(
+            st.just("edit"),
+            st.integers(min_value=0, max_value=99),
+            st.sampled_from(["grp", "name"]),
+            st.one_of(groups, maybe_names),
+        ),
     ),
     min_size=0,
     max_size=4,
 )
 PREDICATES = [edit_within(2), qgram_jaccard_at_least(0.6)]
+#: Premise shapes the join engine serves: similarity-only, and
+#: similarity plus equality on the low-cardinality ``grp``.
+SHAPES = ["similarity", "similarity+equality"]
 
 
 def _typo(value, op):
+    if value is NULL:
+        return value
     if op == "drop" and len(value) > 1:
         return value[1:]
     if op == "dup":
@@ -208,52 +230,86 @@ def _typo(value, op):
     return value
 
 
-def _assert_lookup_equivalence(master, probes, predicate):
-    md = MD(
-        SIM_SCHEMA, SIM_SCHEMA,
-        [("name", "name", predicate)], [("grade", "grade")],
-    )
+def _fuzz_md(predicate, shape):
+    premise = [("name", "name", predicate)]
+    if shape == "similarity+equality":
+        premise.append(("grp", "grp"))
+    return MD(FUZZ_SCHEMA, FUZZ_SCHEMA, premise, [("grade", "grade")])
+
+
+def _assert_lookup_equivalence(master, probes, predicate, shape):
+    md = _fuzz_md(predicate, shape)
     join = MDBlockingIndex(md, master, engine="join")
     scan = MDBlockingIndex(md, master, use_suffix_tree=False, engine="reference")
+    assert join.join_index is not None and join.is_exact
     for probe in probes:
         true_matches = [s.tid for s in scan.matches(probe)]
         # losslessness: filters never drop a true match
         assert {s.tid for s in join.candidates(probe)} >= set(true_matches)
-        # byte-identity: same matches, same order, same witness
+        # byte-identity: same matches, same order, same witness — also
+        # through the memo, whose second read is a cache hit
         assert [s.tid for s in join.matches(probe)] == true_matches
+        for _ in range(2):
+            assert [s.tid for s in join.cached_matches(probe)] == true_matches
         got = join.find_match(probe)
         want = scan.find_match(probe)
         assert (got.tid if got else None) == (want.tid if want else None)
 
 
 class TestFuzzedLookupEquivalence:
-    @given(master_rows, names, typo_ops, mutations, st.sampled_from([0, 1]))
-    @settings(max_examples=30, deadline=None)
+    @given(
+        master_rows, groups, maybe_names, typo_ops, mutations,
+        st.sampled_from([0, 1]), st.sampled_from(SHAPES),
+    )
+    @settings(max_examples=60, deadline=None)
+    # One-value bucket (scanned) beside a bucket with duplicate values
+    # (filtered), nulls on both premise attributes.
+    @example(
+        [("g1", "alpha beta"), ("g1", "alpha beta"), ("g2", "alpha beta"),
+         ("g2", "alpha bet"), ("g2", "alpha beta"), (NULL, "alpha beta"),
+         ("g2", NULL)],
+        "g2", "alpha beta", "drop", [], 0, "similarity+equality",
+    )
+    # Distinct same-length values in one bucket, both within budget.
+    @example(
+        [("g1", "alpha beta"), ("g1", "alpha zeta"), ("g1", "alpha beta"),
+         ("g2", "alpha zeta")],
+        "g1", "alpha zeta", "none", [], 0, "similarity+equality",
+    )
+    @example(
+        [("g1", "gamma delta"), ("g1", "gamma"), ("g1", "gamma delta")],
+        "g1", "gamma delta", "dup", [("edit", 1, "grp", "g2")], 1,
+        "similarity+equality",
+    )
     def test_join_lossless_and_identical(
-        self, rows, probe_name, op, master_ops, predicate_index
+        self, rows, probe_group, probe_name, op, master_ops,
+        predicate_index, shape,
     ):
         predicate = PREDICATES[predicate_index]
         master = Relation.from_dicts(
-            SIM_SCHEMA, [{"name": n, "grade": "A"} for n in rows]
+            FUZZ_SCHEMA,
+            [{"grp": g, "name": n, "grade": "A"} for g, n in rows],
         )
-        probes = [
-            Relation.from_dicts(
-                SIM_SCHEMA, [{"name": _typo(probe_name, op), "grade": "Z"}]
-            ).by_tid(0)
+        probe_rows = [
+            {"grp": probe_group, "name": _typo(probe_name, op), "grade": "Z"},
+            {"grp": probe_group, "name": probe_name, "grade": "Z"},
         ]
-        _assert_lookup_equivalence(master, probes, predicate)
+        probe_rel = Relation.from_dicts(FUZZ_SCHEMA, probe_rows)
+        probes = [probe_rel.by_tid(tid) for tid in probe_rel.tids()]
+        _assert_lookup_equivalence(master, probes, predicate, shape)
         # master edits/inserts between lookups: the index contract assumes
         # an immutable master, so mutation means rebuild — equivalence
         # must survive arbitrary interleavings of edits and rebuilds.
         for mutation in master_ops:
             if mutation[0] == "insert":
-                master.add_row({"name": mutation[1], "grade": "B"})
+                _tag, group, name = mutation
+                master.add_row({"grp": group, "name": name, "grade": "B"})
             else:
-                _tag, raw, value = mutation
+                _tag, raw, attr, value = mutation
                 tids = list(master.tids())
                 t = master.by_tid(tids[raw % len(tids)])
-                master.set_value(t, "name", value)
-            _assert_lookup_equivalence(master, probes, predicate)
+                master.set_value(t, attr, value)
+            _assert_lookup_equivalence(master, probes, predicate, shape)
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ relation would produce, with the same satisfaction verdict — across all
 three phases and for partial pipelines.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints import CFD, MD
@@ -109,6 +109,10 @@ def check_apply_equivalence(data, compact_batches, config, with_mds: bool):
     for compact in compact_batches:
         changeset = build_changeset(session.base, compact)
         out = session.apply(changeset)
+        # An op-less changeset (every tuple already deleted) is a no-op.
+        assert (out is None) == (not changeset.ops)
+        if out is None:
+            continue
         reference = UniClean(cfds=CFDS, mds=mds, master=master, config=config).clean(
             session.base
         )
@@ -138,11 +142,23 @@ class TestApplyEquivalence:
 
     @given(rows, ops)
     @settings(max_examples=40, deadline=None)
+    # The superseded run nulled t0's K (a const_kb premise); the edit
+    # re-runs const_kb on t0, which must read K's base value again.
+    @example(
+        [("k1", "a2", "a1", 0.0, 1.0, 0.0), ("k1", "a2", "a2", 0.0, 1.0, 1.0)],
+        [("edit", 0, "B", "k1", 1.0)],
+    )
     def test_single_batch_cfds_only(self, data, compact):
         check_apply_equivalence(data, [compact], CONFIGS[0], with_mds=False)
 
     @given(rows, ops, ops)
     @settings(max_examples=40, deadline=None)
+    # Batch 1 deletes every tuple, so batch 2 is op-less.
+    @example(
+        [("k1", "a1", "b1", 0.0, 0.0, 0.0), ("k2", "a2", "b2", 0.0, 0.0, 0.0)],
+        [("delete", 0), ("delete", 0)],
+        [("delete", 0)],
+    )
     def test_two_batches_compound(self, data, first, second):
         check_apply_equivalence(data, [first, second], CONFIGS[0], with_mds=True)
 
