@@ -56,34 +56,37 @@ Two workloads, both written to ``BENCH_repair.json``:
    asserted.
 6. **Columnar** (ISSUE 7 columnar resident core): a 1M-row PART-style
    blocking-scan/check workload — build the relation, bulk-build its
-   group stores + violation index, and run the full CFD check — once on
-   the per-tuple dict backend with the reference engine and once on the
-   columnar backend with the vectorized engine.  Rows record relation
-   build, partition bulk build (``index_s``) and check-scan
-   (``check_s``) seconds plus the tracemalloc ``peak_mem_bytes`` of
-   each resident representation; the summary records the check-scan
-   speedup (the hot loop every repair round repeats over the maintained
-   partitions), the one-off index-build and end-to-end speedups, and
-   the memory ratio.  The script asserts that both engines report the **identical
-   violation list** and that the columnar representation peaks lower
-   than the per-tuple one (both structural); the speedup is recorded,
-   never asserted.  The ``replan`` scenario additionally records the
-   wire-payload byte delta between the columnar ref-bridge encode and
-   the forced per-tuple encode of the same relation and asserts the two
-   blobs are byte-identical (delta 0).
+   group stores + violation index, and run the full CFD check — once
+   with the production kernels and once with the per-tuple oracles of
+   :mod:`repro.oracle` (``reference``) over the same column store, plus
+   a build of the oracle's dict-of-``CTuple`` layout
+   (:class:`repro.oracle.DictRelation`) from the same rows as the memory
+   comparator.  Rows record relation build, partition bulk build
+   (``index_s``) and check-scan (``check_s``) seconds plus the
+   tracemalloc ``peak_mem_bytes`` of each resident layout; the summary
+   records the check-scan speedup (the hot loop every repair round
+   repeats over the maintained partitions), the one-off index-build and
+   end-to-end speedups, and the memory ratio.  The script asserts that
+   the kernels and the oracle report the **identical violation list**
+   and that the columnar layout peaks lower than the dict one (both
+   structural); the speedup is recorded, never asserted.  The
+   ``replan`` scenario additionally records the wire-payload byte delta
+   between the ref-bridge encode and the oracle per-tuple encode of the
+   same relation and asserts the two blobs are byte-identical (delta 0).
 7. **Repair-engine** (ISSUE 8 columnar repair kernels): one full traced
-   ``CleaningSession.clean()`` of the PART testbed on the columnar
-   backend under ``REPRO_REPAIR_ENGINE=reference`` and
-   ``=vectorized``.  Rows record the per-phase seconds (``setup`` /
-   ``crepair`` / ``erepair`` / ``hrepair``) and the tracemalloc peak of
-   each run; the summary records per-phase and total speedups.  The
-   script asserts that the ordered fix log, repaired state, cost,
-   verdict and phase traces are **byte-identical** between the engines;
-   timings and memory are informational only.
+   ``CleaningSession.clean()`` of the PART testbed with the production
+   kernels and one under the per-tuple oracles
+   (:func:`repro.oracle.reference_kernels`).  Rows record the per-phase
+   seconds (``setup`` / ``crepair`` / ``erepair`` / ``hrepair``) and the
+   tracemalloc peak of each run; the summary records per-phase and
+   total speedups.  The script asserts that the ordered fix log,
+   repaired state, cost, verdict and phase traces are
+   **byte-identical** between the two; timings and memory are
+   informational only.
 8. **Match-engine** (ISSUE 9 set-based similarity join): a scaled
    DBLP-style master (``--match-size`` rows, default 500K) probed with
    typo'd/exact/foreign titles under a pure-similarity MD, once with
-   the filtered inverted-index join (``REPRO_MATCH_ENGINE=join``) and
+   the filtered inverted-index join (``engine="join"``) and
    once with the exhaustive full scan the reference engine falls back
    to on ``use_suffix_tree=False`` (the exact comparator — top-``l``
    retrieval is lossy, so it cannot anchor a match-identity check).
@@ -116,6 +119,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -539,29 +543,24 @@ def run_replan_report(
                 }
             )
 
-        # Wire-bridge check (ISSUE 7): the columnar ref-bridge encode of
-        # the session base must emit the byte-identical blob the forced
+        # Wire-bridge check: the ref-bridge encode of the
+        # session base must emit the byte-identical blob the oracle's
         # per-tuple encode produces — the recorded delta must be 0.
         import pickle
 
+        from repro import oracle
         from repro.pipeline import payload as _payload
-        from repro.relational import columns as _relcolumns
 
-        base = reference.base
-        columnar_table = _payload.ValueTable()
-        columnar_blob = pickle.dumps(
-            (_payload.encode_relation(base, columnar_table),
-             columnar_table.values),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        with _relcolumns.using_backend(False):
-            flat_base = pickle.loads(pickle.dumps(base))
-        tuple_table = _payload.ValueTable()
-        tuple_blob = pickle.dumps(
-            (_payload.encode_relation(flat_base, tuple_table),
-             tuple_table.values),
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        def encoded(base):
+            table = _payload.ValueTable()
+            return pickle.dumps(
+                (_payload.encode_relation(base, table), table.values),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )
+
+        columnar_blob = encoded(reference.base)
+        with oracle.reference_kernels():
+            tuple_blob = encoded(reference.base)
         encode_bytes_delta = len(columnar_blob) - len(tuple_blob)
         encode_identical = columnar_blob == tuple_blob
 
@@ -781,12 +780,14 @@ def run_columnar_report(
     noise_rate: float = 0.04,
     seed: int = 11,
 ) -> Dict[str, Any]:
-    """Columnar resident core vs per-tuple representation (ISSUE 7).
+    """Columnar resident core vs the per-tuple oracles.
 
     One blocking-scan/check workload — build the relation, bulk-build
     the group stores and violation index behind it, then run the full
-    CFD check over the maintained partitions — measured on both
-    backings.  Index build (``index_s``) and the check scan
+    CFD check over the maintained partitions — measured with the
+    production kernels and with the per-tuple oracles
+    (:func:`repro.oracle.reference_kernels`) over the same column
+    store.  Index build (``index_s``) and the check scan
     (``check_s``) are timed separately: the repair pipeline builds its
     partitions once per session and re-checks every resolution round,
     so the check scan is the repeated blocking-scan/check hot loop and
@@ -794,20 +795,21 @@ def run_columnar_report(
     during the timed regions (collector pauses over a multi-million
     object heap would otherwise dominate both engines equally).
     ``peak_mem_bytes`` is the tracemalloc peak while building and
-    holding each resident representation of the same rows.  Asserted:
-    identical violation lists and the columnar representation peaking
-    below the per-tuple one.  Recorded, never asserted: seconds and
-    speedups.
+    holding each resident layout of the same rows: the column store, and
+    the oracle's dict-of-``CTuple`` layout
+    (:class:`repro.oracle.DictRelation`).  Asserted: identical violation
+    lists and the columnar layout peaking below the dict one.  Recorded,
+    never asserted: seconds and speedups.
     """
     import gc
     import tracemalloc
 
+    from repro import oracle
     from repro.analysis.consistency import relation_violations
     from repro.constraints.rules import derive_rules
     from repro.indexing.group_store import GroupStoreRegistry
     from repro.indexing.violation_index import ViolationIndex
     from repro.relational import Relation
-    from repro.relational import columns as _relcolumns
 
     ds = generate(
         "partitioned", size=size, n_blocks=n_blocks,
@@ -824,10 +826,9 @@ def run_columnar_report(
     del ds
     gc.collect()
 
-    def build(columnar: bool):
+    def build(layout):
         tracemalloc.start()
-        with _relcolumns.using_backend(columnar):
-            relation = Relation(schema)
+        relation = layout(schema)
         append = relation.append_row_values
         started = time.perf_counter()
         for values, confs in raw_rows:
@@ -837,11 +838,14 @@ def run_columnar_report(
         tracemalloc.stop()
         return relation, build_s, peak
 
-    def scan(relation, engine: str):
+    def scan(relation, use_oracle: bool):
         gc.collect()
         gc.disable()
+        kernels = (
+            oracle.reference_kernels() if use_oracle else contextlib.nullcontext()
+        )
         try:
-            with _relcolumns.using_engine(engine):
+            with kernels:
                 started = time.perf_counter()
                 registry = GroupStoreRegistry(relation, attach=False)
                 registry.ensure_rules(rules)
@@ -863,36 +867,36 @@ def run_columnar_report(
 
     rows: List[Dict[str, Any]] = []
 
-    relation, build_s, dict_peak = build(columnar=False)
-    reference_violations, ref_index_s, ref_check_s = scan(relation, "reference")
+    model, dict_build_s, dict_peak = build(oracle.DictRelation)
     rows.append(
         {
             "backend": "dict",
-            "engine": "reference",
-            "build_s": round(build_s, 6),
+            "build_s": round(dict_build_s, 6),
             "peak_mem_bytes": dict_peak,
-            "index_s": round(ref_index_s, 6),
-            "check_s": round(ref_check_s, 6),
-            "violations": len(reference_violations),
         }
     )
-    del relation
+    del model
     gc.collect()
 
-    relation, build_s, columnar_peak = build(columnar=True)
-    vectorized_violations, vec_index_s, vec_check_s = scan(relation, "vectorized")
-    rows.append(
-        {
-            "backend": "columnar",
-            "engine": "vectorized",
-            "build_s": round(build_s, 6),
-            "peak_mem_bytes": columnar_peak,
-            "index_s": round(vec_index_s, 6),
-            "check_s": round(vec_check_s, 6),
-            "violations": len(vectorized_violations),
-            "resident_column_bytes": relation.column_store.nbytes(),
-        }
-    )
+    relation, build_s, columnar_peak = build(Relation)
+    reference_violations, ref_index_s, ref_check_s = scan(relation, True)
+    vectorized_violations, vec_index_s, vec_check_s = scan(relation, False)
+    for engine, index_s, check_s, found in (
+        ("reference", ref_index_s, ref_check_s, reference_violations),
+        ("vectorized", vec_index_s, vec_check_s, vectorized_violations),
+    ):
+        rows.append(
+            {
+                "backend": "columnar",
+                "engine": engine,
+                "build_s": round(build_s, 6),
+                "peak_mem_bytes": columnar_peak,
+                "index_s": round(index_s, 6),
+                "check_s": round(check_s, 6),
+                "violations": len(found),
+                "resident_column_bytes": relation.column_store.nbytes(),
+            }
+        )
     del relation
     gc.collect()
 
@@ -945,27 +949,32 @@ def run_repair_engine_report(
     noise_rate: float = 0.04,
     seed: int = 11,
 ) -> Dict[str, Any]:
-    """Vectorized vs reference repair engine (ISSUE 8 columnar kernels).
+    """Repair kernels vs their per-tuple oracles.
 
-    One full traced ``CleaningSession.clean()`` of the PART testbed on
-    the columnar backend, once per ``REPRO_REPAIR_ENGINE`` setting.
+    One full traced ``CleaningSession.clean()`` of the PART testbed with
+    the production kernels (``vectorized``) and one under
+    :func:`repro.oracle.reference_kernels` (``reference``).
     Rows record the per-phase seconds straight from the session timings
     (``setup`` / ``crepair`` / ``erepair`` / ``hrepair``), the
     tracemalloc peak across the clean, and the fix count.  Asserted:
     the ordered fix log (every field), repaired state, per-cell cost
     total, clean verdict and phase scheduling traces are identical
-    between the engines — the standing byte-identity invariant.
+    between the two — the standing byte-identity invariant.
     Recorded, never asserted: seconds, speedups and memory.
     """
     import gc
     import tracemalloc
 
-    from repro.relational import columns as _relcolumns
+    from repro import oracle
 
     def run(engine: str):
         gc.collect()
-        with _relcolumns.using_backend(True), \
-                _relcolumns.using_repair_engine(engine):
+        kernels = (
+            oracle.reference_kernels()
+            if engine == "reference"
+            else contextlib.nullcontext()
+        )
+        with kernels:
             ds = generate(
                 "partitioned", size=size, n_blocks=n_blocks,
                 noise_rate=noise_rate, seed=seed,
@@ -1052,7 +1061,6 @@ def run_repair_engine_report(
             "n_blocks": n_blocks,
             "noise_rate": noise_rate,
             "seed": seed,
-            "backend": "columnar",
         },
         "rows": rows,
         "summary": summary,
@@ -1834,8 +1842,8 @@ def main(argv=None) -> int:
         entry = columnar["summary"]
         print(
             f"  columnar size={entry['size']}: "
-            f"check reference={entry['reference_check_s']:.2f}s "
-            f"vectorized={entry['vectorized_check_s']:.2f}s "
+            f"check oracle={entry['reference_check_s']:.2f}s "
+            f"kernels={entry['vectorized_check_s']:.2f}s "
             f"speedup={entry['scan_speedup']}x "
             f"(index build {entry['reference_index_s']:.2f}s/"
             f"{entry['vectorized_index_s']:.2f}s, "
@@ -1857,8 +1865,8 @@ def main(argv=None) -> int:
         entry = repair["summary"]
         print(
             f"  repair-engine size={entry['size']} fixes={entry['fixes']}: "
-            f"reference={entry['reference_total_s']:.2f}s "
-            f"vectorized={entry['vectorized_total_s']:.2f}s "
+            f"oracle={entry['reference_total_s']:.2f}s "
+            f"kernels={entry['vectorized_total_s']:.2f}s "
             f"speedup={entry['total_speedup']}x "
             f"(c x{entry['crepair_speedup']} e x{entry['erepair_speedup']} "
             f"h x{entry['hrepair_speedup']}) "
@@ -1945,9 +1953,9 @@ def main(argv=None) -> int:
             "ERROR: a structural assertion failed (engine/state divergence, "
             "no shard reuse across re-plans, columnar payloads above "
             "50% of the PR 3 bytes, a non-identical columnar encode or "
-            "violation list, a columnar representation that did not peak "
-            "below the per-tuple one, a repair-engine run that was not "
-            "byte-identical to the reference path, a match-engine run whose "
+            "violation list, a columnar layout that did not peak below "
+            "the dict one, a repair-kernel run that was not "
+            "byte-identical to the oracle, a match-engine run whose "
             "match lists diverged from the exhaustive scan or that verified "
             "no fewer pairs, a snapshot restore that diverged "
             "or re-cleaned restored shards, a fault-injected run that "

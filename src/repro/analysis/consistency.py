@@ -31,7 +31,6 @@ from repro.constraints.cfd import CFD, Violation
 from repro.constraints.md import MD
 from repro.constraints.rules import ConstantCFDRule, derive_rules
 from repro.indexing.group_store import hot_groups
-from repro.relational import columns as _columns
 from repro.relational.attribute import NULL, is_null
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
@@ -109,63 +108,10 @@ def relation_violations(
                 )
             positions.append(by_key[key])
     only = set(only_tids) if only_tids is not None else None
-    if _columns.vectorized_for(relation):
-        return _violations_vectorized(relation, rules, positions, index, strict, only)
-    out: List[Violation] = []
-    for rule, idx in zip(rules, positions):
-        rhs = rule.rhs_attr()
-        is_constant = isinstance(rule, ConstantCFDRule)
-
-        def rule_member_tids(idx=idx):
-            if only is None:
-                return index.member_tids(idx)
-            return sorted(tid for tid in only if index.is_member(idx, tid))
-
-        def rule_groups(idx=idx):
-            if only is None:
-                yield from index.iter_groups(idx)
-            else:
-                yield from index.groups_of_tids(idx, only)
-
-        if strict:
-            # Single-tuple check ``t[Y] ≍ tp[Y]``: fails on a mismatched
-            # constant and on null (nulls never match, wildcard included).
-            constant = rule.cfd.rhs_constant if is_constant else None
-            for tid in rule_member_tids():
-                value = relation.by_tid(tid)[rhs]
-                if is_null(value) or (is_constant and value != constant):
-                    out.append(Violation(rule.cfd, (tid,), rhs))
-            # Pair check among tuples agreeing on X — constant CFDs
-            # included, exactly as the brute-force scan does.
-            for _key, tids in rule_groups():
-                seen: Dict[Any, int] = {}
-                for tid in tids:
-                    value = relation.by_tid(tid)[rhs]
-                    for other_value, witness in seen.items():
-                        if other_value != value:
-                            out.append(Violation(rule.cfd, (witness, tid), rhs))
-                    seen.setdefault(value, tid)
-        elif is_constant:
-            constant = rule.cfd.rhs_constant
-            for tid in rule_member_tids():
-                value = relation.by_tid(tid)[rhs]
-                if not is_null(value) and value != constant:
-                    out.append(Violation(rule.cfd, (tid,), rhs))
-        else:
-            for _key, tids in rule_groups():
-                seen: Dict[Any, int] = {}
-                for tid in tids:
-                    value = relation.by_tid(tid)[rhs]
-                    if is_null(value):
-                        continue
-                    for other_value, witness in seen.items():
-                        if other_value != value:
-                            out.append(Violation(rule.cfd, (witness, tid), rhs))
-                    seen.setdefault(value, tid)
-    return out
+    return _scan_violations(relation, rules, positions, index, strict, only)
 
 
-def _violations_vectorized(
+def _scan_violations(
     relation: Relation,
     rules: Sequence[Any],
     positions: Sequence[int],
@@ -173,9 +119,10 @@ def _violations_vectorized(
     strict: bool,
     only: Optional[Set[int]],
 ) -> List[Violation]:
-    """The vectorized check engine behind :func:`relation_violations`.
+    """The check scan behind :func:`relation_violations`.
 
-    Same partition semantics as the reference loop, but every RHS read
+    Same partition semantics as the per-tuple reference loop
+    (:func:`repro.oracle.scan_violations`), but every RHS read
     is a ref-column index (``rhs_data[row]``) and every value test a
     canonical reference comparison — no ``by_tid`` →
     ``dict.__getitem__`` chain, no per-tuple object touched beyond its
@@ -185,9 +132,8 @@ def _violations_vectorized(
     the per-group sorting work scales with the *dirty* partitions, not
     with all of them.  The ``seen`` lists key canonical refs, whose
     equality (and therefore first-encounter order) is exactly the value
-    equality the reference engine's value-keyed maps use, so the
-    emitted violation list is identical element for element.  Gated by
-    :func:`repro.relational.columns.check_engine`.
+    equality the reference loop's value-keyed maps use, so the emitted
+    violation list is identical element for element.
 
     The ``only_tids`` delta mode keeps the index-query path (its scopes
     are small; the full-scan restructuring would not pay for itself).

@@ -58,14 +58,14 @@ def cell_cost(old: Any, new: Any, confidence: Optional[float]) -> float:
 class RefCostCache:
     """Memoized :func:`cell_cost` over interned value refs.
 
-    The vectorized hRepair scores each candidate value against every
+    hRepair's variable resolve scores each candidate value against every
     mismatching member of an equivalence class; within one class — and
     across classes sharing values — the same ``(old, new, confidence)``
     triple recurs constantly.  Keys are the *exact* refs, not canon refs:
     two ``==``-equal values of different types (``0`` vs ``0.0``) share a
     canon but could in principle behave differently under
     :func:`value_distance`, and the standing invariant is byte-identity
-    with the per-value reference path, so nothing coarser than identity
+    with the per-tuple oracle, so nothing coarser than identity
     of the interned instances is assumed.
     """
 

@@ -47,8 +47,6 @@ from repro.core.trace import WorklistTrace
 from repro.indexing.blocking import MDBlockingIndex
 from repro.indexing.group_store import GroupStoreRegistry
 from repro.indexing.violation_index import ViolationIndex
-from repro.relational import columns as _columns
-from repro.relational.columns import ColumnTuple
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -343,21 +341,20 @@ class _CRepair:
             return  # asserted targets are never overwritten
         constant = rule.cfd.rhs_constant
         equal: Optional[bool] = None
-        if isinstance(t, ColumnTuple) and _columns.repair_engine() == "vectorized":
-            # Target resolution at the ref level: the current cell equals
-            # the rule constant iff its canon ref is the constant's canon
-            # (invariant 19) — no cell materialization.  ``find_canon``
-            # probes without interning; an absent canon means no table
-            # value compares equal to the constant.
-            store = t._store
-            table = store.table
-            try:
-                want = table.find_canon(constant)
-            except TypeError:  # unhashable constant: use the == fallback
-                pass
-            else:
-                ref = store.values[store.index_of[rhs]].data[t._row]
-                equal = want is not None and table.canon[ref] == want
+        # Target resolution at the ref level: the current cell equals the
+        # rule constant iff its canon ref is the constant's canon
+        # (invariant 19) — no cell materialization.  ``find_canon`` probes
+        # without interning; an absent canon means no table value
+        # compares equal to the constant.
+        store = t._store
+        table = store.table
+        try:
+            want = table.find_canon(constant)
+        except TypeError:  # unhashable constant: use the == fallback
+            pass
+        else:
+            ref = store.values[store.index_of[rhs]].data[t._row]
+            equal = want is not None and table.canon[ref] == want
         self._apply_fix(t, rhs, constant, rule.name, "pattern", equal=equal)
 
     def md_infer(self, t: CTuple, rule_idx: int) -> None:
@@ -374,7 +371,7 @@ class _CRepair:
             return
         self._apply_fix(t, rhs, match[master_attr], rule.name, "master")
 
-    def _init_asserted_vectorized(
+    def _init_asserted(
         self, scope: Sequence[int], relevant_attrs: Tuple[str, ...]
     ) -> None:
         """Initialization lines 2–6 over the confidence ref columns.
@@ -387,8 +384,9 @@ class _CRepair:
         at least one asserted relevant attribute.  Sound because nothing
         mutates confidences before the fixpoint loop: during init,
         ``update`` only arms worklist entries (``pending`` is empty and
-        fixes happen later), so upfront masks agree with the reference
-        path's lazy per-tuple reads, in the same propagation order.
+        fixes happen later), so upfront masks agree with the per-tuple
+        reads of :func:`repro.oracle.init_asserted`, in the same
+        propagation order.
         """
         relation = self.relation
         store = relation.column_store
@@ -446,15 +444,7 @@ class _CRepair:
                 for tid in scope:
                     self._root_rank = (0, idx, tid, 0)
                     self._push(tid, idx)
-        if _columns.repair_vectorized_for(self.relation):
-            self._init_asserted_vectorized(scope, relevant_attrs)
-        else:
-            for tid in scope:
-                t = self.relation.by_tid(tid)
-                self._root_rank = (1, tid, 0, 0)
-                for attr in relevant_attrs:
-                    if self._asserted(t, attr):
-                        self.update(t, attr)
+        self._init_asserted(scope, relevant_attrs)
         # Fixpoint loop (lines 7–15).
         self._looping = True
         trace = self.trace

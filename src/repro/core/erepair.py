@@ -236,7 +236,6 @@ class _ERepair:
                 for group in index.conflicting_groups()
                 if group.entropy < self.delta2
             ]
-        vectorized = _columns.repair_vectorized_for(self.relation)
         for key, snapshot_entropy in candidates:
             if self.trace is not None:
                 # The AVL ordering key at snapshot time — the content rank
@@ -252,21 +251,10 @@ class _ERepair:
             if not (group.entropy < self.delta2):
                 continue
             majority_value, _count = group.majority()
-            if vectorized:
-                changed |= self._apply_majority_columnar(
-                    rule, rhs, group, majority_value
-                )
-                continue
-            for tid in sorted(group.tids):
-                t = self.relation.by_tid(tid)
-                if t[rhs] == majority_value:
-                    continue
-                if not self._may_change(t, rhs):
-                    continue
-                changed |= self._set_value(t, rhs, majority_value, rule.name, "entropy")
+            changed |= self._apply_majority(rule, rhs, group, majority_value)
         return changed
 
-    def _apply_majority_columnar(
+    def _apply_majority(
         self, rule: VariableCFDRule, rhs: str, group: Any, majority_value: Any
     ) -> bool:
         """The member scan of one low-entropy group at the ref level.
@@ -274,11 +262,12 @@ class _ERepair:
         Mismatching members are found by comparing canon refs against the
         majority value's canon (canon equality is ``==`` equality), with
         a numpy compare for large groups; tuples materialize only at
-        mismatch positions.  Byte-identical to the per-tuple loop: the
-        snapshot of RHS refs taken here equals the reference path's live
-        reads because each fix rewrites only its own tuple's RHS cell,
-        and mismatches are visited in the same sorted-tid order with the
-        same ``_may_change`` gate.
+        mismatch positions.  Byte-identical to the per-tuple loop
+        (:func:`repro.oracle.apply_majority`): the snapshot of RHS refs
+        taken here equals that loop's live reads because each fix
+        rewrites only its own tuple's RHS cell, and mismatches are
+        visited in the same sorted-tid order with the same
+        ``_may_change`` gate.
         """
         relation = self.relation
         store = relation.column_store

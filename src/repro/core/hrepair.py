@@ -49,7 +49,7 @@ from repro.constraints.rules import (
     VariableCFDRule,
     derive_rules,
 )
-from repro.core.cost import RefCostCache, cell_cost
+from repro.core.cost import RefCostCache
 from repro.core.fixes import Fix, FixKind, FixLog
 from repro.core.trace import RoundTrace
 from repro.indexing.blocking import MDBlockingIndex
@@ -149,8 +149,7 @@ class _HRepair:
             raise ValueError("scoped (delta-driven) runs require the violation index")
         self.uf = _UnionFind()
         self.targets: Dict[Cell, Tuple] = {}  # root -> target
-        #: Lazily built per-run memo of cell costs keyed by interned refs
-        #: (vectorized engine only).
+        #: Lazily built per-run memo of cell costs keyed by interned refs.
         self._cost_cache: Optional[RefCostCache] = None
         self.fixes_made = 0
         self.merges = 0
@@ -344,56 +343,23 @@ class _HRepair:
         return changed
 
     def resolve_variable(self, rule_idx: int) -> bool:
-        rule = self.rules[rule_idx]
-        assert isinstance(rule, VariableCFDRule)
-        rhs = rule.rhs_attr()
-        if _columns.repair_vectorized_for(self.relation):
-            return self._resolve_variable_vectorized(rule, rule_idx, rhs)
-        changed = False
-        if self.vindex is not None:
-            by_tid = self.relation.by_tid
-            for key in self.vindex.pop_dirty_keys(rule_idx):
-                members = self.vindex.members(rule_idx, key)
-                if not members:
-                    continue
-                if self.trace is not None:
-                    # Pop order is ascending smallest member tid — the
-                    # content rank that interleaves shards' partitions.
-                    self._token = (self.rounds, rule_idx, (members[0],))
-                group = [by_tid(tid) for tid in members]
-                changed |= self._resolve_variable_group(rule, rhs, key, group)
-        else:
-            groups: Dict[Tuple[Any, ...], List[CTuple]] = {}
-            for t in self.relation:
-                if rule.cfd.lhs_matches(t):
-                    groups.setdefault(t.project(rule.cfd.lhs), []).append(t)
-            for key, group in groups.items():
-                if self.trace is not None:
-                    self._token = (
-                        self.rounds,
-                        rule_idx,
-                        (min(t.tid for t in group),),
-                    )
-                changed |= self._resolve_variable_group(rule, rhs, key, group)
-        return changed
-
-    def _resolve_variable_vectorized(
-        self, rule: VariableCFDRule, rule_idx: int, rhs: str
-    ) -> bool:
-        """The equivalence-class construction of :meth:`resolve_variable`
-        over ref columns, with the hot-group prune shared with the
-        vectorized check engine.
+        """Build the equivalence classes of one variable CFD's groups over
+        ref columns, with the hot-group prune shared with the check scan
+        (the per-tuple oracle is :func:`repro.oracle.resolve_variable`).
 
         With the violation index, each popped dirty partition is pruned
         through its :class:`~repro.indexing.group_store.GroupStats`: a
         cold group (≤ 1 distinct RHS ``==``-class) always makes
-        :meth:`_resolve_variable_group` return ``False`` with zero
+        group resolution return ``False`` with zero
         observable side effects — no fix, no token, no unresolved entry —
         so skipping it before materializing any tuple is exact.  Without
         the index, the grouping itself comes from a single columnar
         membership scan (:func:`~repro.indexing.group_store.cfd_member_tids`)
-        in the reference path's first-encounter order.
+        in the per-tuple loop's first-encounter order.
         """
+        rule = self.rules[rule_idx]
+        assert isinstance(rule, VariableCFDRule)
+        rhs = rule.rhs_attr()
         changed = False
         if self.vindex is not None:
             part = self.vindex.partition(rule_idx)
@@ -408,7 +374,7 @@ class _HRepair:
                     # Pop order is ascending smallest member tid — the
                     # content rank that interleaves shards' partitions.
                     self._token = (self.rounds, rule_idx, (member_tids[0],))
-                changed |= self._resolve_variable_group_refs(
+                changed |= self._resolve_variable_group(
                     rule, rhs, key, member_tids
                 )
         else:
@@ -417,25 +383,27 @@ class _HRepair:
             ).items():
                 if self.trace is not None:
                     self._token = (self.rounds, rule_idx, (min(member_tids),))
-                changed |= self._resolve_variable_group_refs(
+                changed |= self._resolve_variable_group(
                     rule, rhs, key, member_tids
                 )
         return changed
 
-    def _resolve_variable_group_refs(
+    def _resolve_variable_group(
         self,
         rule: VariableCFDRule,
         rhs: str,
         key: Tuple[Any, ...],
         member_tids: Sequence[int],
     ) -> bool:
-        """Ref-level :meth:`_resolve_variable_group`: membership filter,
-        distinct-value collection and null detection run on canon refs
-        (canon equality is ``==`` equality), materializing row-views only
-        on the rare frozen-conflict premise-breaking path and inside
-        ``_sync`` when fixes actually land.  The distinct-value map keeps
-        the *first-encountered* ref per canon class, which is exactly the
-        instance the reference path's ``set`` retains.
+        """Resolve one conflict group ``Δ(x̄)`` of a variable CFD.
+
+        Membership filter, distinct-value collection and null detection
+        run on canon refs (canon equality is ``==`` equality),
+        materializing row-views only on the rare frozen-conflict
+        premise-breaking path and inside ``_sync`` when fixes actually
+        land.  The distinct-value map keeps the *first-encountered* ref
+        per canon class, which is exactly the instance the per-tuple
+        oracle's ``set`` retains.
         """
         relation = self.relation
         store = relation.column_store
@@ -472,8 +440,12 @@ class _HRepair:
             self._target(cell)[1] for cell in cells if self._is_frozen(cell)
         }
         if len(frozen_values) > 1:
-            # Two deterministic fixes disagree — break the premise of a
-            # frozen participant (see _resolve_variable_group).
+            # Two deterministic fixes disagree — the merge is
+            # impossible.  Dissolve the conflict by breaking the
+            # premise of one of the *frozen participants*: null a
+            # non-frozen LHS cell of a frozen tuple so it leaves the
+            # group (breaking an uninvolved tuple's premise would not
+            # remove the violation).
             broken = False
             by_tid = relation.by_tid
             for tid in sorted(members):
@@ -486,9 +458,14 @@ class _HRepair:
                 return False
             return True
         if frozen_values:
-            # One deterministic value dictates the group (see
-            # _resolve_variable_group for why non-frozen members take it
-            # as an ordinary const target instead of joining the class).
+            # One deterministic value dictates the group.  Only the cells
+            # already rooted in frozen (protected) classes join the frozen
+            # class; the remaining members take the value as an ordinary
+            # *const* target.  Merging them in would freeze them by
+            # contagion, and a later conflict between two frozen groups
+            # could then find no premise to break — losing the Dr ⊨ Σ
+            # guarantee of Corollary 7.1.  Const-targeted cells stay
+            # null-upgradable, which is all that guarantee needs.
             value = next(iter(frozen_values))
             frozen_cells = [cell for cell in cells if self._is_frozen(cell)]
             if len(frozen_cells) > 1:
@@ -513,25 +490,29 @@ class _HRepair:
             merged_target = _const(next(iter(const_targets)))
         else:
             merged_target = _const(
-                self._cheapest_value_refs(members, rhs_refs, values_by_canon, rhs)
+                self._cheapest_value(members, rhs_refs, values_by_canon, rhs)
             )
         self._merge(cells, merged_target, rule.name)
         return True
 
-    def _cheapest_value_refs(
+    def _cheapest_value(
         self,
         members: Sequence[int],
         rhs_refs: Sequence[int],
         values_by_canon: Dict[int, int],
         rhs: str,
     ) -> Any:
-        """Ref-level :meth:`_cheapest_value` (Section 3.1 cost model).
+        """The group value minimizing total repair cost (Section 3.1).
+
+        Cost ties (common when confidences are zero) break towards the
+        *most frequent* value — the majority heuristic — then towards the
+        lexicographically smallest for determinism.
 
         Vote counts come from one pass over canon refs (``np.unique``
         for large groups); each candidate's total cost accumulates over
         the members *in member order* through the per-run
-        :class:`~repro.core.cost.RefCostCache`, preserving the reference
-        path's float addition order bit for bit (the memo only collapses
+        :class:`~repro.core.cost.RefCostCache`, preserving the per-tuple
+        oracle's float addition order bit for bit (the memo only collapses
         repeated ``(old, new, conf)`` ref triples, whose costs are
         identical floats by construction).
         """
@@ -576,106 +557,6 @@ class _HRepair:
             rank = (total, -counts[cand_canon], repr(value))
             if best_key is None or rank < best_key:
                 best_key = rank
-                best_value = value
-        return best_value
-
-    def _resolve_variable_group(
-        self,
-        rule: VariableCFDRule,
-        rhs: str,
-        key: Tuple[Any, ...],
-        group: Sequence[CTuple],
-    ) -> bool:
-        """Resolve one conflict group ``Δ(x̄)`` of a variable CFD."""
-        # Tombstoned cells (target null) stay null: re-filling them
-        # would undo an earlier conflict resolution.
-        members = [
-            t for t in group if self._target((t.tid, rhs))[0] != "null"
-        ]
-        values = {t[rhs] for t in members if not is_null(t[rhs])}
-        has_free_nulls = any(is_null(t[rhs]) for t in members)
-        if len(values) < 2 and not (values and has_free_nulls):
-            return False  # consistent (nulls alone never violate)
-        signature = ("v", rule.name, key)
-        if signature in self.unresolved:
-            return False
-        cells = [(t.tid, rhs) for t in members]
-        frozen_values = {
-            self._target(cell)[1] for cell in cells if self._is_frozen(cell)
-        }
-        if len(frozen_values) > 1:
-            # Two deterministic fixes disagree — the merge is
-            # impossible.  Dissolve the conflict by breaking the
-            # premise of one of the *frozen participants*: null a
-            # non-frozen LHS cell of a frozen tuple so it leaves the
-            # group (breaking an uninvolved tuple's premise would not
-            # remove the violation).
-            broken = False
-            for t in sorted(members, key=lambda x: x.tid or 0):
-                if self._is_frozen((t.tid, rhs)):
-                    if self._break_premise(t, rule.cfd.lhs, rule.name):
-                        broken = True
-                        break
-            if not broken:
-                self.unresolved.add(signature)
-                return False
-            return True
-        if frozen_values:
-            # One deterministic value dictates the group.  Only the cells
-            # already rooted in frozen (protected) classes join the frozen
-            # class; the remaining members take the value as an ordinary
-            # *const* target.  Merging them in would freeze them by
-            # contagion, and a later conflict between two frozen groups
-            # could then find no premise to break — losing the Dr ⊨ Σ
-            # guarantee of Corollary 7.1.  Const-targeted cells stay
-            # null-upgradable, which is all that guarantee needs.
-            value = next(iter(frozen_values))
-            frozen_cells = [cell for cell in cells if self._is_frozen(cell)]
-            if len(frozen_cells) > 1:
-                self._merge(frozen_cells, ("frozen", value), rule.name)
-            for cell in cells:
-                if self._is_frozen(cell):
-                    continue
-                tgt = self._target(cell)
-                if tgt[0] == "const" and tgt[1] != value:
-                    self._set_target(cell, _NULL, rule.name)
-                else:
-                    self._set_target(cell, _const(value), rule.name)
-            return True
-        const_targets = {
-            self._target(cell)[1]
-            for cell in cells
-            if self._target(cell)[0] == "const"
-        }
-        if len(const_targets) > 1:
-            target = _NULL
-        elif const_targets:
-            target = _const(next(iter(const_targets)))
-        else:
-            target = _const(self._cheapest_value(members, rhs, values))
-        self._merge(cells, target, rule.name)
-        return True
-
-    def _cheapest_value(self, group: Sequence[CTuple], rhs: str, values: Set[Any]) -> Any:
-        """The group value minimizing total repair cost (Section 3.1).
-
-        Cost ties (common when confidences are zero) break towards the
-        *most frequent* value — the majority heuristic — then towards the
-        lexicographically smallest for determinism.
-        """
-        counts: Dict[Any, int] = {}
-        for t in group:
-            counts[t[rhs]] = counts.get(t[rhs], 0) + 1
-        best_value = None
-        best_key = None
-        for value in sorted(values, key=repr):
-            total = 0.0
-            for t in group:
-                if t[rhs] != value:
-                    total += cell_cost(t[rhs], value, t.conf(rhs))
-            key = (total, -counts.get(value, 0), repr(value))
-            if best_key is None or key < best_key:
-                best_key = key
                 best_value = value
         return best_value
 

@@ -27,6 +27,7 @@ from repro.core.crepair import CRepairResult
 from repro.core.erepair import ERepairResult
 from repro.core.fixes import FixKind, FixLog
 from repro.core.hrepair import HRepairResult
+from repro.indexing.blocking import MATCH_ENGINES
 from repro.relational.relation import Relation
 
 
@@ -48,12 +49,11 @@ class UniCleanConfig:
     use_suffix_tree:
         Disable to fall back to full master scans (ablation baseline).
     match_engine:
-        MD match engine for blocking indexes: ``"join"`` (filtered
-        inverted-index similarity join, exact) or ``"reference"``
-        (top-``l`` suffix-tree retrieval).  ``None`` defers to the
-        process-wide ``REPRO_MATCH_ENGINE`` flag.  Configs pickled
-        before this field existed (persisted snapshots) keep loading:
-        :meth:`__setstate__` fills absent fields with their defaults.
+        MD match engine for blocking indexes: ``"join"`` (default;
+        filtered inverted-index similarity join, exact) or
+        ``"reference"`` (top-``l`` suffix-tree retrieval).  Validated at
+        construction.  Configs pickled before this field existed, or
+        with the former ``None`` default, load as ``"join"``.
     use_violation_index:
         Drive all three phases from the incremental
         :class:`~repro.indexing.violation_index.ViolationIndex` (dirty
@@ -72,7 +72,7 @@ class UniCleanConfig:
     delta2: float = 0.8
     top_l: int = 20
     use_suffix_tree: bool = True
-    match_engine: Optional[str] = None
+    match_engine: str = "join"
     use_violation_index: bool = True
     check_consistency: bool = False
     run_crepair: bool = True
@@ -88,11 +88,23 @@ class UniCleanConfig:
         every reader would need a per-field ``getattr`` shim.  Centralize
         the forward-compat here instead: absent fields take their
         dataclass defaults, unknown (newer-writer) fields are kept as-is.
+        A ``match_engine`` of ``None`` — the default before the field
+        was validated, when it deferred to a process-wide flag whose
+        default was ``"join"`` — loads as ``"join"``.
         """
         for f in fields(self):
             if f.name not in state:
                 state[f.name] = f.default
+        if state["match_engine"] is None:
+            state["match_engine"] = "join"
         self.__dict__.update(state)
+
+    def __post_init__(self) -> None:
+        if self.match_engine not in MATCH_ENGINES:
+            raise ValueError(
+                f"unknown match engine {self.match_engine!r}; "
+                f"expected one of {MATCH_ENGINES}"
+            )
 
 
 @dataclass

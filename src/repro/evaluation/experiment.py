@@ -281,7 +281,7 @@ def exp5_scalability(
     asserted_rate: float = 0.4,
     seed: int = 7,
     use_suffix_tree: bool = True,
-    match_engine: Optional[str] = None,
+    match_engine: str = "join",
 ) -> List[Dict[str, Any]]:
     """Phase runtimes while varying |D|, |Dm|, |Σ| or |Γ|.
 

@@ -11,8 +11,9 @@ l ≤ 20 typically suffices") using two complementary indexes:
   master values by LCS, which upper-bounds candidates for bounded
   edit/Hamming distance (the ``max(|u|,|v|)/(K+1)`` LCS bound).
 
-:class:`MDBlockingIndex` combines both.  The similarity side is
-engine-switched (``REPRO_MATCH_ENGINE``):
+:class:`MDBlockingIndex` combines both.  The similarity side has two
+engines, chosen per index (``UniCleanConfig.match_engine``, which
+pickles to shard workers with the rest of the config):
 
 * ``join`` (default) — the filtered similarity join of
   :mod:`repro.matching.simjoin` for every premise with a join-filterable
@@ -46,10 +47,13 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constraints.md import MD
 from repro.relational.attribute import is_null
-from repro.relational.columns import match_engine
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 from repro.indexing.suffix_tree import GeneralizedSuffixTree
+
+
+#: The MD match engines an index can run.
+MATCH_ENGINES = ("join", "reference")
 
 
 class ExactIndex:
@@ -98,8 +102,7 @@ class MDBlockingIndex:
         ``Dm`` for a pure-similarity premise, under either engine (the
         ablation baseline and the property tests' oracle).
     engine:
-        ``"join"`` or ``"reference"``; defaults to the process-wide
-        :func:`~repro.relational.columns.match_engine` flag.
+        ``"join"`` (default) or ``"reference"``.
     """
 
     def __init__(
@@ -108,15 +111,15 @@ class MDBlockingIndex:
         master: Relation,
         top_l: int = 20,
         use_suffix_tree: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "join",
     ):
         self.md = md
         self.master = master
         self.top_l = top_l
         self.use_suffix_tree = use_suffix_tree
-        self.engine = match_engine() if engine is None else engine
-        if self.engine not in ("join", "reference"):
-            raise ValueError(f"unknown match engine {self.engine!r}")
+        if engine not in MATCH_ENGINES:
+            raise ValueError(f"unknown match engine {engine!r}")
+        self.engine = engine
         self._eq_clauses = [c for c in md.premise if c.is_equality]
         self._eq_attrs = [c.attr for c in self._eq_clauses]
         self._sim_clauses = [c for c in md.premise if not c.is_equality]
@@ -388,7 +391,7 @@ def build_md_indexes(
     master: Relation,
     top_l: int = 20,
     use_suffix_tree: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "join",
 ) -> Dict[str, MDBlockingIndex]:
     """Build one :class:`MDBlockingIndex` per normalized MD, keyed by name."""
     out: Dict[str, MDBlockingIndex] = {}

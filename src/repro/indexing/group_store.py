@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.constraints.cfd import WILDCARD, is_wildcard
 from repro.exceptions import DataError
-from repro.relational import columns as _columns
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
@@ -127,7 +126,7 @@ class GroupStats:
         """Whether the group *can* hold a variable-CFD conflict: more
         than one distinct RHS value (``==``-class).  Cold groups (k ≤ 1)
         are provably side-effect-free for both the violation scan and
-        hRepair's group resolution, so vectorized engines skip them."""
+        hRepair's group resolution, so the kernels skip them."""
         return len(self.value_counts) > 1
 
     def _invalidate(self) -> None:
@@ -142,8 +141,8 @@ class GroupStats:
 
 def hot_groups(groups: Iterable[GroupStats]) -> List[GroupStats]:
     """The conflicted groups of a partition, ordered by smallest member
-    tid — the deterministic scan order the vectorized check engine and
-    the vectorized hRepair share.  Skipping cold groups is exact: a
+    tid — the deterministic scan order the check scan and hRepair's
+    variable resolve share.  Skipping cold groups is exact: a
     group whose RHS values all agree can neither witness a variable-CFD
     violation nor produce a fix, a token, or an unresolved entry."""
     hot = [g for g in groups if g.is_hot]
@@ -155,18 +154,13 @@ def cfd_member_tids(relation: Relation, cfd: Any) -> Dict[Key, List[int]]:
     """Member tids per LHS key of *cfd* — keys and members both in
     first-encounter relation order, exactly the grouping the per-tuple
     loop ``groups.setdefault(t.project(lhs), []).append(t.tid)`` (guarded
-    by ``lhs_matches``) builds.  Columnar relations scan the ref columns
-    with membership resolved once per distinct LHS ref combination (the
-    :meth:`CFDGroupStore._bulk_index_columnar` idiom); dict relations
-    take the per-tuple loop itself.
+    by ``lhs_matches``, :func:`repro.oracle.cfd_member_tids`) builds.
+    The ref columns are scanned with membership resolved once per
+    distinct LHS ref combination (the :meth:`CFDGroupStore.bulk_index`
+    idiom).
     """
     lhs = cfd.key_attrs()
     groups: Dict[Key, List[int]] = {}
-    if not _columns.repair_vectorized_for(relation):
-        for t in relation:
-            if cfd.lhs_matches(t):
-                groups.setdefault(t.project(lhs), []).append(t.tid)
-        return groups
     store = relation.column_store
     table = store.table
     vals = table.values
@@ -289,18 +283,11 @@ class CFDGroupStore:
         self.bulk_index(relation)
 
     def bulk_index(self, relation: Relation) -> None:
-        """Index every tuple of *relation* (assumed not yet indexed here),
-        taking the columnar array scan when the backing store and the
-        active check engine allow it — the blocking-scan hot loop of
-        every fresh :class:`GroupStoreRegistry`."""
-        if _columns.vectorized_for(relation):
-            self._bulk_index_columnar(relation)
-        else:
-            for t in relation:
-                self.index_tuple(t)
+        """Index every tuple of *relation* (assumed not yet indexed here)
+        — the blocking-scan hot loop of every fresh
+        :class:`GroupStoreRegistry`.
 
-    def _bulk_index_columnar(self, relation: Relation) -> None:
-        """One pass over the ref columns instead of ``len(relation)``
+        One pass over the ref columns instead of ``len(relation)``
         pattern matches: membership (non-null LHS + constant-premise
         canon-ref equality) and the key→group resolution are computed
         once per *distinct* LHS ref combination and cached — with the
@@ -310,7 +297,8 @@ class CFDGroupStore:
         resolution.  LHS key tuples are materialized from table-resident value
         instances, which unifies the store's key interning with the
         process-wide :data:`~repro.relational.columns.GLOBAL_TABLE`.
-        Byte-identical to the per-tuple loop: group/key insertion order
+        Byte-identical to the per-tuple loop
+        (:func:`repro.oracle.bulk_index`): group/key insertion order
         is first-encounter in relation order either way, and per-group
         value counts key the first encountered value instance just as
         the per-row ``counts[v] += 1`` would.
@@ -589,16 +577,8 @@ class MDGroupStore:
         self.bulk_index(relation)
 
     def bulk_index(self, relation: Relation) -> None:
-        """Index every tuple of *relation* (columnar array scan when the
-        backing store and check engine allow)."""
-        if _columns.vectorized_for(relation):
-            self._bulk_index_columnar(relation)
-        else:
-            for t in relation:
-                self.index_tuple(t)
-
-    def _bulk_index_columnar(self, relation: Relation) -> None:
-        """The MD analog of :meth:`CFDGroupStore._bulk_index_columnar`:
+        """Index every tuple of *relation* — the MD analog of
+        :meth:`CFDGroupStore.bulk_index`:
         null detection and key interning happen once per distinct
         blocking-key ref combination (``None`` pseudo-key for rows with a
         null in the key, ``()`` when the MD has no equality premise),
@@ -793,17 +773,10 @@ class GroupStoreRegistry:
                     mstore = self._md_stores[mspec] = MDGroupStore(md)
                     self._register(mstore)
                     fresh.append(mstore)
-        if fresh:
-            if _columns.vectorized_for(self.relation):
-                # Column-at-a-time: each store scans the ref arrays once
-                # (C-speed zips + per-distinct-key caching) instead of
-                # sharing one per-tuple walk.
-                for store in fresh:
-                    store._bulk_index_columnar(self.relation)
-            else:
-                for t in self.relation:
-                    for store in fresh:
-                        store.index_tuple(t)
+        # Column-at-a-time: each store scans the ref arrays once
+        # (C-speed zips + per-distinct-key caching).
+        for store in fresh:
+            store.bulk_index(self.relation)
 
     def stores(self) -> List[AnyStore]:
         """All registered stores (CFD stores first, then MD stores)."""

@@ -52,14 +52,12 @@ supplied, the index owns a private one and attaches it to the relation;
 a session-owned registry is reused as-is (stores already built — index
 construction is O(rules), not O(|D|·rules)).
 
-On columnar relations (:mod:`repro.relational.columns`) the initial
-store builds behind this index run as ref-column array scans
-(``GroupStoreRegistry.ensure_rules`` → ``_bulk_index_columnar``) and the
+The initial store builds behind this index run as ref-column array
+scans (``GroupStoreRegistry.ensure_rules`` → ``bulk_index``) and the
 full-relation checks consuming its partitions run on canonical-ref
-integer comparisons (:func:`repro.analysis.consistency.relation_violations`
-under the ``vectorized`` engine) — the partition *contents* and all
-dirtiness semantics here are engine-independent and byte-identical
-either way.
+integer comparisons (:func:`repro.analysis.consistency.relation_violations`)
+— the partition *contents* and all dirtiness semantics here are
+byte-identical to the per-tuple oracles of :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
@@ -370,7 +368,7 @@ class ViolationIndex:
     def partition(self, idx: int) -> Optional[CFDGroupStore]:
         """The CFD group store of rule *idx*, or ``None`` for MD rules.
 
-        The vectorized check engine walks ``partition(idx).key_of``
+        The check scan walks ``partition(idx).key_of``
         directly (one ascending-tid pass buckets members into partitions
         in first-encounter order) instead of paying the per-group
         ``sorted``/``min`` calls of :meth:`iter_groups`."""

@@ -11,7 +11,7 @@ premises fire), while the baseline matches on the dirty data directly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.constraints.md import MD
 from repro.indexing.blocking import MDBlockingIndex
@@ -43,8 +43,7 @@ class MDMatcher:
     top_l, use_suffix_tree:
         Blocking parameters (Section 5.2).
     engine:
-        MD match engine override; ``None`` defers to the process-wide
-        ``REPRO_MATCH_ENGINE`` flag.
+        MD match engine: ``"join"`` (default) or ``"reference"``.
     """
 
     def __init__(
@@ -53,7 +52,7 @@ class MDMatcher:
         master: Relation,
         top_l: int = 20,
         use_suffix_tree: bool = True,
-        engine: Optional[str] = None,
+        engine: str = "join",
     ):
         self.master = master
         self.mds: List[MD] = []
@@ -85,7 +84,7 @@ def match_after_cleaning(
     master: Relation,
     top_l: int = 20,
     use_suffix_tree: bool = True,
-    engine: Optional[str] = None,
+    engine: str = "join",
 ) -> MatchResult:
     """Matches read off a (repaired) relation — UniClean's Exp-2 output.
 

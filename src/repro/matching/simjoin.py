@@ -27,8 +27,8 @@ This module replaces that with the classic filtered inverted-index join
 
 Every filter is an upper bound a true match cannot violate, so the
 pipeline is *lossless*: ``matches()`` through this engine is exhaustive
-by construction, and byte-identical to a full scan.  The engine sits
-behind ``REPRO_MATCH_ENGINE`` (see :mod:`repro.relational.columns`);
+by construction, and byte-identical to a full scan.  It is the default
+match engine (``UniCleanConfig.match_engine="join"``);
 ``indexing/blocking.py`` dispatches to it for every premise with a
 join-filterable similarity clause.  A pure-similarity premise probes one
 index over the whole master.  A premise that also has equality clauses
@@ -71,8 +71,7 @@ class ProfileCache:
     master value *and* every dirty-side probe that shares it — the
     predicate-call path never re-runs :func:`~repro.similarity.qgrams.qgrams`
     for a string the index has seen.  Values outside the table
-    (dict-backed relations, uninterned probes) fall back to keying by
-    their ``str()`` form.  ``hits``/``misses`` back the cache tests and
+    (uninterned probes) fall back to keying by their ``str()`` form.  ``hits``/``misses`` back the cache tests and
     the benchmark counters.
     """
 
@@ -228,12 +227,10 @@ class QGramIndex:
     # ------------------------------------------------------------------
     def _value_groups(self, master: Relation) -> List[ValueGroup]:
         """Master tuples grouped by exact attribute value, first-encounter
-        order.  Columnar masters group by interned ref (duplicate strings
-        index once, no per-tuple dict reads); dict-backed masters group by
-        ``(type, value)``."""
+        order: by interned ref, so duplicate strings index once and no
+        per-tuple dict is read.  Identical to the per-tuple
+        ``(type, value)`` grouping of :func:`repro.oracle.value_groups`."""
         store = master.column_store
-        if store is None:
-            return _group_by_value(master, self.attr)
         groups: List[ValueGroup] = []
         refs = master.column(self.attr)
         by_ref: Dict[int, List[CTuple]] = {}

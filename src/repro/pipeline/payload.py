@@ -46,9 +46,9 @@ from repro.core.fixes import Fix, FixKind
 from repro.exceptions import TornFrame
 from repro.core.trace import RoundTrace, WorklistTrace
 from repro.pipeline.changeset import KEEP, CellEdit, Delete, Insert, Op
+from repro.relational.columns import ColumnTuple
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.relational.tuples import CTuple
 
 Cell = Tuple[int, str]
 Key = Tuple[Any, ...]
@@ -152,57 +152,57 @@ SchemaLookup = Callable[[str, Tuple[str, ...]], Optional[Schema]]
 
 def encode_relation(relation: Relation, table: ValueTable) -> Dict[str, Any]:
     """One column of value references and one of confidence references
-    per attribute, plus tid/bookkeeping arrays — no per-tuple dicts.
-
-    Column-backed relations take the ref-bridge fast path: resident
-    cells are already interned integers, so encoding is a resident-ref →
-    message-ref remap over the column arrays (one dictionary hit per
-    *distinct* resident value instead of one per cell), never touching a
-    tuple object.  The interning walk follows the exact row-major,
-    value-then-confidence order of the per-tuple path, so the emitted
-    blob — including message-table reference numbering — is
-    byte-identical for both backings.
-    """
-    names = relation.schema.names
-    store = relation.column_store
-    cols: List[List[int]] = [[] for _ in names]
-    confs: List[List[int]] = [[] for _ in names]
-    ref = table.ref
-    if store is not None:
-        resident_values = store.table.values
-        vcols = [store.values[store.index_of[a]].data for a in names]
-        ccols = [store.confs[store.index_of[a]].data for a in names]
-        span = range(len(names))
-        remap: Dict[int, int] = {}
-        tids, rows = relation._live_rows()
-        row_iter = range(len(tids)) if rows is None else rows
-        for row in row_iter:
-            for index in span:
-                r = vcols[index][row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = ref(resident_values[r])
-                cols[index].append(m)
-                r = ccols[index][row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = ref(resident_values[r])
-                confs[index].append(m)
-    else:
-        for t in relation:
-            values = t._values
-            conf = t._conf
-            for index, attr in enumerate(names):
-                cols[index].append(ref(values[attr]))
-                confs[index].append(ref(conf[attr]))
+    per attribute, plus tid/bookkeeping arrays — no per-tuple dicts."""
+    cols, confs = _encode_cells(relation, table)
     return {
-        "schema": (relation.schema.name, tuple(names)),
+        "schema": (relation.schema.name, tuple(relation.schema.names)),
         "tids": pack_ints(list(relation.tids())),
         "next_tid": relation._next_tid,
         "retired": pack_ints(sorted(relation._retired)),
         "cols": [pack_ints(col) for col in cols],
         "confs": [pack_ints(col) for col in confs],
     }
+
+
+def _encode_cells(
+    relation: Relation, table: ValueTable
+) -> Tuple[List[List[int]], List[List[int]]]:
+    """The message refs of every value and confidence cell, one list per
+    attribute — the ref bridge.
+
+    Resident cells are already interned integers, so encoding is a
+    resident-ref → message-ref remap over the column arrays (one
+    dictionary hit per *distinct* resident value instead of one per
+    cell), never touching a tuple object.  The interning walk follows
+    the row-major, value-then-confidence order of the per-tuple encode
+    (:func:`repro.oracle.encode_cells`), so the emitted blob — message
+    reference numbering included — is byte-identical to it.
+    """
+    names = relation.schema.names
+    store = relation.column_store
+    cols: List[List[int]] = [[] for _ in names]
+    confs: List[List[int]] = [[] for _ in names]
+    ref = table.ref
+    resident_values = store.table.values
+    vcols = [store.values[store.index_of[a]].data for a in names]
+    ccols = [store.confs[store.index_of[a]].data for a in names]
+    span = range(len(names))
+    remap: Dict[int, int] = {}
+    tids, rows = relation._live_rows()
+    row_iter = range(len(tids)) if rows is None else rows
+    for row in row_iter:
+        for index in span:
+            r = vcols[index][row]
+            m = remap.get(r)
+            if m is None:
+                m = remap[r] = ref(resident_values[r])
+            cols[index].append(m)
+            r = ccols[index][row]
+            m = remap.get(r)
+            if m is None:
+                m = remap[r] = ref(resident_values[r])
+            confs[index].append(m)
+    return cols, confs
 
 
 def decode_relation(
@@ -212,7 +212,10 @@ def decode_relation(
 ) -> Relation:
     """Rebuild the relation; *schema_lookup* lets the worker reuse the
     schema object its rules/master already carry (same structural
-    equality either way — this only avoids duplicate Schema instances)."""
+    equality either way — this only avoids duplicate Schema instances).
+
+    Ref bridge: message refs remap straight into the resident table and
+    append column rows — no per-tuple dicts are built."""
     name, names = blob["schema"]
     schema = schema_lookup(name, names) if schema_lookup is not None else None
     if schema is None:
@@ -222,43 +225,26 @@ def decode_relation(
     cols = blob["cols"]
     confs = blob["confs"]
     store = relation.column_store
-    if store is not None:
-        # Ref bridge: remap message refs straight into the resident
-        # table and append column rows — no per-tuple dicts are built.
-        from repro.relational.columns import ColumnTuple
-
-        resident_ref = store.table.ref
-        remap: Dict[int, int] = {}
-        make = ColumnTuple.make
-        append = store.append_refs
-        for row, tid in enumerate(blob["tids"]):
-            vrefs: List[int] = []
-            for col in cols:
-                r = col[row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = resident_ref(values[r])
-                vrefs.append(m)
-            crefs: List[int] = []
-            for col in confs:
-                r = col[row]
-                m = remap.get(r)
-                if m is None:
-                    m = remap[r] = resident_ref(values[r])
-                crefs.append(m)
-            tuples[tid] = make(store, append(tid, vrefs, crefs), tid)
-    else:
-        for row, tid in enumerate(blob["tids"]):
-            t = CTuple.__new__(CTuple)
-            t.schema = schema
-            t.tid = tid
-            t._values = {
-                attr: values[cols[index][row]] for index, attr in enumerate(names)
-            }
-            t._conf = {
-                attr: values[confs[index][row]] for index, attr in enumerate(names)
-            }
-            tuples[tid] = t
+    resident_ref = store.table.ref
+    remap: Dict[int, int] = {}
+    make = ColumnTuple.make
+    append = store.append_refs
+    for row, tid in enumerate(blob["tids"]):
+        vrefs: List[int] = []
+        for col in cols:
+            r = col[row]
+            m = remap.get(r)
+            if m is None:
+                m = remap[r] = resident_ref(values[r])
+            vrefs.append(m)
+        crefs: List[int] = []
+        for col in confs:
+            r = col[row]
+            m = remap.get(r)
+            if m is None:
+                m = remap[r] = resident_ref(values[r])
+            crefs.append(m)
+        tuples[tid] = make(store, append(tid, vrefs, crefs), tid)
     relation._next_tid = blob["next_tid"]
     relation._retired = set(blob["retired"])
     return relation

@@ -39,36 +39,16 @@ properties that materialize on demand *and* bump a module counter, which
 the CI regression test uses to assert the vectorized check paths perform
 zero per-tuple dict materializations.
 
-Two process-wide switches, both overridable per call site:
-
-* backend — ``REPRO_COLUMNAR=0`` (or :func:`set_default_columnar`)
-  makes new relations dict-backed again (``Relation(schema,
-  columnar=...)`` overrides per relation);
-* check engine — ``REPRO_CHECK_ENGINE=reference`` (or
-  :func:`set_check_engine`) routes violation checks and group-store bulk
-  builds through the original per-tuple loops.  The vectorized engine is
-  byte-identical to the reference engine by construction and by the
-  property tests in ``tests/properties/test_property_columnar.py``;
-* repair engine — ``REPRO_REPAIR_ENGINE=reference`` (or
-  :func:`set_repair_engine`) routes the cRepair/eRepair/hRepair kernels
-  through the original per-tuple loops instead of the ref-column
-  (and numpy-accelerated) paths.  The same byte-identity contract
-  applies, enforced by ``tests/properties/test_property_repair_engines.py``;
-* match engine — ``REPRO_MATCH_ENGINE=reference`` (or
-  :func:`set_match_engine`) routes MD premise matching back through the
-  per-tuple top-l suffix-tree retrieval instead of the filtered
-  inverted-index similarity join (``matching/simjoin.py``).  Unlike the
-  other pairs, the join engine is *more* exact than the reference one
-  (top-l retrieval can drop true matches); match sets are byte-identical
-  wherever the reference path is itself exhaustive, enforced by
-  ``tests/properties/test_property_match_engines.py``.
+The store is the only resident format: every :class:`Relation` is
+column-backed, and the vectorized check, group-store and repair kernels
+are the only production engines.  Their per-tuple predecessors live on
+as test oracles in :mod:`repro.oracle`, which the property tests swap in
+to check that every kernel is byte-identical to its reference loop.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
-from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the repair kernels; every caller falls back to
@@ -89,113 +69,14 @@ __all__ = [
     "IntColumn",
     "ValueTable",
     "GLOBAL_TABLE",
-    "check_engine",
-    "default_columnar",
-    "match_engine",
     "materializations",
     "numpy_or_none",
-    "repair_engine",
-    "repair_vectorized_for",
-    "set_check_engine",
-    "set_default_columnar",
-    "set_match_engine",
-    "set_repair_engine",
-    "using_backend",
-    "using_engine",
-    "using_match_engine",
-    "using_repair_engine",
-    "vectorized_for",
 ]
 
-
-# ----------------------------------------------------------------------
-# Process-wide switches
-# ----------------------------------------------------------------------
-_DEFAULT_COLUMNAR: bool = os.environ.get("REPRO_COLUMNAR", "1") != "0"
-_CHECK_ENGINE: str = os.environ.get("REPRO_CHECK_ENGINE", "vectorized")
-_REPAIR_ENGINE: str = os.environ.get("REPRO_REPAIR_ENGINE", "vectorized")
-_MATCH_ENGINE: str = os.environ.get("REPRO_MATCH_ENGINE", "join")
-_ENGINES = ("vectorized", "reference")
-_MATCH_ENGINES = ("join", "reference")
 
 #: Counter of on-demand ``_values``/``_conf`` dict materializations by
 #: row-views — the hot paths must never trigger one (CI regression test).
 _MATERIALIZATIONS: int = 0
-
-
-def default_columnar() -> bool:
-    """Whether new relations default to the columnar backing store."""
-    return _DEFAULT_COLUMNAR
-
-
-def set_default_columnar(flag: bool) -> bool:
-    """Set the backend default; returns the previous value."""
-    global _DEFAULT_COLUMNAR
-    previous = _DEFAULT_COLUMNAR
-    _DEFAULT_COLUMNAR = bool(flag)
-    return previous
-
-
-def check_engine() -> str:
-    """The active check engine: ``"vectorized"`` or ``"reference"``."""
-    return _CHECK_ENGINE
-
-
-def set_check_engine(name: str) -> str:
-    """Select the check engine; returns the previous one."""
-    global _CHECK_ENGINE
-    if name not in _ENGINES:
-        raise ValueError(f"unknown check engine {name!r}; expected one of {_ENGINES}")
-    previous = _CHECK_ENGINE
-    _CHECK_ENGINE = name
-    return previous
-
-
-def vectorized_for(relation: Any) -> bool:
-    """Whether the vectorized engine applies to *relation* right now."""
-    return _CHECK_ENGINE == "vectorized" and getattr(relation, "column_store", None) is not None
-
-
-def repair_engine() -> str:
-    """The active repair engine: ``"vectorized"`` or ``"reference"``."""
-    return _REPAIR_ENGINE
-
-
-def set_repair_engine(name: str) -> str:
-    """Select the repair engine; returns the previous one."""
-    global _REPAIR_ENGINE
-    if name not in _ENGINES:
-        raise ValueError(f"unknown repair engine {name!r}; expected one of {_ENGINES}")
-    previous = _REPAIR_ENGINE
-    _REPAIR_ENGINE = name
-    return previous
-
-
-def repair_vectorized_for(relation: Any) -> bool:
-    """Whether the vectorized repair kernels apply to *relation* right now
-    (the flag is on *and* the relation is column-backed — dict relations
-    always take the reference per-tuple path)."""
-    return (
-        _REPAIR_ENGINE == "vectorized"
-        and getattr(relation, "column_store", None) is not None
-    )
-
-
-def match_engine() -> str:
-    """The active MD match engine: ``"join"`` or ``"reference"``."""
-    return _MATCH_ENGINE
-
-
-def set_match_engine(name: str) -> str:
-    """Select the match engine; returns the previous one."""
-    global _MATCH_ENGINE
-    if name not in _MATCH_ENGINES:
-        raise ValueError(
-            f"unknown match engine {name!r}; expected one of {_MATCH_ENGINES}"
-        )
-    previous = _MATCH_ENGINE
-    _MATCH_ENGINE = name
-    return previous
 
 
 def numpy_or_none() -> Any:
@@ -205,46 +86,6 @@ def numpy_or_none() -> Any:
     stale when the column widens, so callers must build views fresh at
     each use site, never cache them across mutations."""
     return _np
-
-
-@contextmanager
-def using_backend(columnar: bool) -> Iterator[None]:
-    """Temporarily force the backend default (tests)."""
-    previous = set_default_columnar(columnar)
-    try:
-        yield
-    finally:
-        set_default_columnar(previous)
-
-
-@contextmanager
-def using_engine(name: str) -> Iterator[None]:
-    """Temporarily force the check engine (tests)."""
-    previous = set_check_engine(name)
-    try:
-        yield
-    finally:
-        set_check_engine(previous)
-
-
-@contextmanager
-def using_repair_engine(name: str) -> Iterator[None]:
-    """Temporarily force the repair engine (tests)."""
-    previous = set_repair_engine(name)
-    try:
-        yield
-    finally:
-        set_repair_engine(previous)
-
-
-@contextmanager
-def using_match_engine(name: str) -> Iterator[None]:
-    """Temporarily force the match engine (tests)."""
-    previous = set_match_engine(name)
-    try:
-        yield
-    finally:
-        set_match_engine(previous)
 
 
 def materializations() -> int:

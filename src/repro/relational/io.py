@@ -104,8 +104,8 @@ def read_csv(
             raise DataError(f"CSV is missing columns for attributes {missing}")
         relation = Relation(schema)
         # Schema-order column positions once, then one list per row into
-        # the bulk-load fast path (columnar relations intern straight
-        # into their ref columns; no intermediate dicts or CTuples).
+        # the bulk-load fast path (values intern straight into the ref
+        # columns; no intermediate dicts or CTuples).
         positions = [value_cols[name] for name in schema.names]
         conf_positions = [conf_cols.get(name) for name in schema.names]
         check_conf = CTuple._check_conf

@@ -15,15 +15,15 @@ relation keeps every derived structure coherent without rebuilds.
 Observers are *not* carried over by :meth:`clone` — each clone starts
 with a clean observer list.
 
-Relations are **columnar-backed by default** (see
-:mod:`repro.relational.columns`): cells live in per-attribute interned
-ref columns and resident tuples are :class:`~repro.relational.columns.ColumnTuple`
-row-views, which keeps the whole tuple API intact while exposing bulk
-ref-level accessors (:meth:`Relation.column`, :meth:`Relation.rows_where`,
+Relations are **column-backed** (see :mod:`repro.relational.columns`):
+cells live in per-attribute interned ref columns and resident tuples are
+:class:`~repro.relational.columns.ColumnTuple` row-views, which keeps the
+whole tuple API intact while exposing bulk ref-level accessors
+(:meth:`Relation.column`, :meth:`Relation.rows_where`,
 :meth:`Relation.group_rows_by`, :meth:`Relation.project_refs`) to the
-vectorized check engine.  Pass ``columnar=False`` (or flip the
-``REPRO_COLUMNAR`` env default) to get the original dict-of-CTuple
-backing.
+vectorized kernels.  The column store is the only backing; the original
+dict-of-CTuple layout survives only as a test oracle
+(:class:`repro.oracle.DictRelation`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import (
 )
 
 from repro.exceptions import DataError, SchemaError
-from repro.relational import columns as _columns
 from repro.relational.attribute import NULL
 from repro.relational.columns import ColumnStore, ColumnTuple, ValueTable
 from repro.relational.schema import Schema
@@ -60,11 +59,6 @@ class Relation:
     tuples:
         Optional initial tuples; tids are (re-)assigned on insertion when
         absent or conflicting.
-    columnar:
-        Backing store: ``True`` for interned ref columns (resident tuples
-        are row-views), ``False`` for the original dict-of-CTuple layout,
-        ``None`` (default) for the process-wide default
-        (:func:`repro.relational.columns.default_columnar`).
 
     Notes
     -----
@@ -82,12 +76,7 @@ class Relation:
         "_columns",
     )
 
-    def __init__(
-        self,
-        schema: Schema,
-        tuples: Iterable[CTuple] = (),
-        columnar: Optional[bool] = None,
-    ):
+    def __init__(self, schema: Schema, tuples: Iterable[CTuple] = ()):
         self.schema = schema
         self._tuples: Dict[int, CTuple] = {}
         self._next_tid = 0
@@ -95,23 +84,19 @@ class Relation:
         self._observers: List[Callable[[CTuple, str, Any, Any], None]] = []
         self._insert_observers: List[Callable[[CTuple], None]] = []
         self._delete_observers: List[Callable[[CTuple], None]] = []
-        if columnar is None:
-            columnar = _columns.default_columnar()
-        self._columns: Optional[ColumnStore] = (
-            ColumnStore(schema) if columnar else None
-        )
+        self._columns = ColumnStore(schema)
         for t in tuples:
             self.add(t)
 
     @property
-    def column_store(self) -> Optional[ColumnStore]:
-        """The columnar backing store, or ``None`` for dict-backed relations."""
+    def column_store(self) -> ColumnStore:
+        """The columnar backing store."""
         return self._columns
 
     @property
-    def value_table(self) -> Optional[ValueTable]:
-        """The interning table cells reference (columnar relations only)."""
-        return self._columns.table if self._columns is not None else None
+    def value_table(self) -> ValueTable:
+        """The interning table cells reference."""
+        return self._columns.table
 
     # ------------------------------------------------------------------
     # Pickling (process-pool sharding ships relations across workers)
@@ -121,17 +106,13 @@ class Relation:
         callables (often closures over index state) and are dropped, the
         same way :meth:`clone` starts with a clean observer list.
 
-        Column-backed relations pickle their rows as detached plain
-        tuples (refs are process-local), keeping the state shape — and
-        therefore the wire/snapshot formats built on it — identical for
-        both backends.
+        Rows pickle as detached plain tuples (refs are process-local),
+        which keeps the state shape — and the wire/snapshot formats built
+        on it — independent of the resident layout.
         """
-        tuples = list(self._tuples.values())
-        if self._columns is not None:
-            tuples = [t.clone() for t in tuples]  # detach row-views
         return {
             "schema": self.schema,
-            "tuples": tuples,
+            "tuples": [t.clone() for t in self._tuples.values()],
             "next_tid": self._next_tid,
             "retired": sorted(self._retired),
         }
@@ -142,23 +123,15 @@ class Relation:
         self._insert_observers = []
         self._delete_observers = []
         self._tuples = {}
-        self._columns = (
-            ColumnStore(self.schema) if _columns.default_columnar() else None
-        )
-        store = self._columns
-        if store is None:
-            self._tuples = {t.tid: t for t in state["tuples"]}
-        else:
-            names = self.schema.names
-            for t in state["tuples"]:
-                values = t._values
-                conf = t._conf
-                row = store.append_values(
-                    t.tid,
-                    [values[n] for n in names],
-                    [conf[n] for n in names],
-                )
-                self._tuples[t.tid] = ColumnTuple.make(store, row, t.tid)
+        self._columns = store = ColumnStore(self.schema)
+        names = self.schema.names
+        for t in state["tuples"]:
+            values = t._values
+            conf = t._conf
+            row = store.append_values(
+                t.tid, [values[n] for n in names], [conf[n] for n in names]
+            )
+            self._tuples[t.tid] = ColumnTuple.make(store, row, t.tid)
         self._next_tid = state["next_tid"]
         self._retired = set(state["retired"])
 
@@ -187,13 +160,10 @@ class Relation:
         return relation
 
     def _absorb(self, t: CTuple) -> CTuple:
-        """Make *t* resident: dict backends keep the object itself;
-        columnar backends copy its cells into the column store (by ref
+        """Make *t* resident: copy its cells into the column store (by ref
         when *t* is already a row-view over the same value table) and
         return a fresh row-view carrying ``t.tid``."""
         store = self._columns
-        if store is None:
-            return t
         if isinstance(t, ColumnTuple):
             row = store.adopt_row(t.tid, t._store, t._row)
         else:
@@ -210,9 +180,8 @@ class Relation:
         tid without firing observers or touching tid bookkeeping — the
         shard-merge primitive (:mod:`repro.pipeline.sharding` swaps
         repaired tuples into ``working`` wholesale).  Any current
-        resident for the tid is replaced; for columnar relations the
-        replacement gets a fresh row, so shared-store views of the old
-        row are unaffected (same semantics as rebinding the dict slot).
+        resident for the tid is replaced; the replacement gets a fresh
+        row, so shared-store views of the old row are unaffected.
         """
         resident = self._absorb(t)
         self._tuples[resident.tid] = resident
@@ -228,10 +197,9 @@ class Relation:
         later insert.  Explicit tids that were never assigned (gaps below
         ``_next_tid``) are honoured.
 
-        Returns the resident tuple: the same object for dict-backed
-        relations, a row-view over the column store otherwise (the input
-        handle's ``tid`` is updated either way, but only the returned
-        tuple addresses the resident row).
+        Returns the resident tuple, a row-view over the column store (the
+        input handle's ``tid`` is updated, but only the returned tuple
+        addresses the resident row).
         """
         if t.schema != self.schema:
             raise DataError(
@@ -252,14 +220,9 @@ class Relation:
         values: Mapping[str, Any],
         confidences: Optional[Mapping[str, Optional[float]]] = None,
     ) -> CTuple:
-        """Convenience: build and insert a tuple from dicts.
-
-        Columnar relations skip the intermediate :class:`CTuple` and
-        write straight into the columns (same validation, same errors).
-        """
-        store = self._columns
-        if store is None:
-            return self.add(CTuple(self.schema, values, confidences))
+        """Convenience: build and insert a tuple from dicts, written
+        straight into the columns (same validation and errors as
+        :class:`CTuple`)."""
         schema = self.schema
         for extra in values:
             if extra not in schema:
@@ -306,15 +269,8 @@ class Relation:
             )
         tid = self._next_tid
         store = self._columns
-        if store is None:
-            resident = CTuple.__new__(CTuple)
-            resident.schema = self.schema
-            resident.tid = tid
-            resident._values = dict(zip(names, values))
-            resident._conf = dict(zip(names, confs))
-        else:
-            row = store.append_values(tid, values, confs)
-            resident = ColumnTuple.make(store, row, tid)
+        row = store.append_values(tid, values, confs)
+        resident = ColumnTuple.make(store, row, tid)
         self._tuples[tid] = resident
         self._next_tid = tid + 1
         for observer in self._insert_observers:
@@ -337,7 +293,7 @@ class Relation:
             raise DataError(f"relation {self.schema.name!r} has no tuple #{tid}") from None
         self._retired.add(tid)
         store = self._columns
-        if store is not None and not store.shared:
+        if not store.shared:
             # Tombstone the row, then re-home the popped view onto a
             # private single-row store: a later compaction rewrites this
             # relation's columns in place, so a handle still reading the
@@ -357,8 +313,6 @@ class Relation:
     def _detach_view(self, t: CTuple) -> CTuple:
         """Re-home a popped row-view onto a private single-row store so
         its cells survive compaction of this relation's columns."""
-        if not isinstance(t, ColumnTuple):
-            return t
         solo = ColumnStore(self.schema, t._store.table)
         t._row = solo.adopt_row(t.tid, t._store, t._row)
         t._store = solo
@@ -373,19 +327,16 @@ class Relation:
     def compact(self, force: bool = False) -> bool:
         """Reclaim tombstoned rows in the backing columns.
 
-        Returns whether a compaction ran.  No-op for dict-backed
-        relations, for shared stores (zero-copy views — neither owner
-        may move the other's rows), and — unless *force* — below the
-        auto-trigger thresholds (:data:`repro.relational.columns.COMPACT_MIN_ROWS`
-        rows, live ratio under
-        :data:`repro.relational.columns.COMPACT_LIVE_RATIO`).  Tids,
-        values, confidences and iteration order are all unchanged; only
-        physical row indexes move, invisibly behind the tuple API.
+        Returns whether a compaction ran.  No-op for shared stores
+        (zero-copy views — neither owner may move the other's rows), and
+        — unless *force* — below the auto-trigger thresholds
+        (:data:`repro.relational.columns.COMPACT_MIN_ROWS` rows, live
+        ratio under :data:`repro.relational.columns.COMPACT_LIVE_RATIO`).
+        Tids, values, confidences and iteration order are all unchanged;
+        only physical row indexes move, invisibly behind the tuple API.
         """
         store = self._columns
-        if store is None or store.shared:
-            return False
-        if not force and not store.should_compact():
+        if store.shared or not (force or store.should_compact()):
             return False
         self._compact_columns()
         return True
@@ -498,7 +449,7 @@ class Relation:
         return [t for t in self if predicate(t)]
 
     def _live_rows(self) -> Tuple[List[int], Optional[List[int]]]:
-        """``(tids, rows)`` for columnar scans.
+        """``(tids, rows)`` for column scans.
 
         ``rows is None`` signals the contiguous fast path: the store is
         fully live (no tombstones) and this relation owns every row, so
@@ -515,7 +466,7 @@ class Relation:
         return tids, [t._row for t in self._tuples.values()]
 
     def _value_columns(self, attrs: Sequence[str]) -> List[Sequence[int]]:
-        """The raw ref arrays of *attrs* (columnar relations only)."""
+        """The raw ref arrays of *attrs*."""
         store = self._columns
         index_of = store.index_of
         return [store.values[index_of[a]].data for a in attrs]
@@ -524,8 +475,6 @@ class Relation:
         """π: the set of distinct value tuples over *attrs*."""
         self.schema.check_attrs(attrs)
         store = self._columns
-        if store is None:
-            return {t.project(attrs) for t in self}
         # Dedup on ref tuples (int compares), materialize values once per
         # distinct ref combination.
         values = store.table.values
@@ -555,10 +504,6 @@ class Relation:
         self.schema.check_attrs(attrs)
         store = self._columns
         groups: Dict[Tuple[Any, ...], List[CTuple]] = {}
-        if store is None:
-            for t in self:
-                groups.setdefault(t.project(attrs), []).append(t)
-            return groups
         values = store.table.values
         cols = self._value_columns(attrs)
         residents = list(self._tuples.values())
@@ -588,8 +533,6 @@ class Relation:
         """``adom(attr)``: the set of values of *attr* occurring in the data."""
         self.schema.check_attrs([attr])
         store = self._columns
-        if store is None:
-            return {t[attr] for t in self}
         values = store.table.values
         data = store.values[store.index_of[attr]].data
         tids, rows = self._live_rows()
@@ -609,20 +552,12 @@ class Relation:
         return out
 
     # ------------------------------------------------------------------
-    # Bulk ref-level accessors (columnar backing store)
+    # Bulk ref-level accessors
     # ------------------------------------------------------------------
-    def _require_columns(self) -> ColumnStore:
-        if self._columns is None:
-            raise DataError(
-                f"relation {self.schema.name!r} is dict-backed; "
-                "ref-level accessors need a columnar relation"
-            )
-        return self._columns
-
     def column(self, attr: str) -> List[int]:
         """The interned value refs of *attr*, aligned with :meth:`tids`."""
         self.schema.check_attrs([attr])
-        store = self._require_columns()
+        store = self._columns
         data = store.values[store.index_of[attr]].data
         tids, rows = self._live_rows()
         if rows is None:
@@ -632,7 +567,6 @@ class Relation:
     def project_refs(self, attrs: Sequence[str]) -> List[Tuple[int, ...]]:
         """Ref tuples over *attrs*, aligned with :meth:`tids`."""
         self.schema.check_attrs(attrs)
-        self._require_columns()
         cols = self._value_columns(attrs)
         tids, rows = self._live_rows()
         if rows is None:
@@ -642,14 +576,12 @@ class Relation:
     def rows_where(self, attr: str, value: Any) -> List[CTuple]:
         """The resident tuples with ``t[attr] == value`` (insertion order).
 
-        Columnar relations resolve *value* to its canonical ref (without
-        interning it) and scan one int column; equality semantics are
-        identical to the per-tuple ``==`` scan.
+        *value* resolves to its canonical ref (without interning it) and
+        one int column is scanned; equality semantics are identical to
+        the per-tuple ``==`` scan.
         """
         self.schema.check_attrs([attr])
         store = self._columns
-        if store is None:
-            return [t for t in self if t[attr] == value]
         table = store.table
         try:
             wanted = table.find_canon(value)
@@ -675,10 +607,6 @@ class Relation:
         self.schema.check_attrs(attrs)
         store = self._columns
         groups: Dict[Tuple[Any, ...], List[int]] = {}
-        if store is None:
-            for t in self:
-                groups.setdefault(t.project(attrs), []).append(t.tid)
-            return groups
         values = store.table.values
         cols = self._value_columns(attrs)
         tids, rows = self._live_rows()
@@ -711,7 +639,7 @@ class Relation:
         duplicates can never leak a stale row.
         """
         self.schema.check_attrs([attr])
-        store = self._require_columns()
+        store = self._columns
         data = store.values[store.index_of[attr]].data
         if tids is None:
             _, rows = self._live_rows()
@@ -727,7 +655,7 @@ class Relation:
         """Interned confidence refs of *attr* (same alignment contract
         as :meth:`value_refs`)."""
         self.schema.check_attrs([attr])
-        store = self._require_columns()
+        store = self._columns
         data = store.confs[store.index_of[attr]].data
         if tids is None:
             _, rows = self._live_rows()
@@ -743,7 +671,7 @@ class Relation:
         """Canonical value refs of *attr* — canon equality *is* ``==``
         value equality (invariant 19), so two cells compare equal exactly
         when their canon refs are the same int."""
-        store = self._require_columns()
+        store = self._columns
         canon = store.table.canon
         return [canon[r] for r in self.value_refs(attr, tids)]
 
@@ -755,21 +683,16 @@ class Relation:
 
         Tids are preserved so fixes can be traced back to original tuples.
         """
-        columnar = self._columns is not None
-        twin = Relation(self.schema, columnar=columnar)
-        if columnar:
-            # Compact rebuild: copy refs row by row (values are shared
-            # through the process-wide table, never re-interned) and hand
-            # each tid a fresh row-view.
-            source = self._columns
-            store = twin._columns
-            make = ColumnTuple.make
-            for tid, t in self._tuples.items():
-                row = store.adopt_row(tid, source, t._row)
-                twin._tuples[tid] = make(store, row, tid)
-        else:
-            for t in self:
-                twin._tuples[t.tid] = t.clone()  # keep identical tids
+        twin = Relation(self.schema)
+        # Compact rebuild: copy refs row by row (values are shared through
+        # the process-wide table, never re-interned) and hand each tid a
+        # fresh row-view.
+        source = self._columns
+        store = twin._columns
+        make = ColumnTuple.make
+        for tid, t in self._tuples.items():
+            row = store.adopt_row(tid, source, t._row)
+            twin._tuples[tid] = make(store, row, tid)
         twin._next_tid = self._next_tid
         twin._retired = set(self._retired)
         return twin
@@ -787,9 +710,9 @@ class Relation:
         ``copy=False`` shares the tuple objects instead of cloning them —
         a zero-copy *view* for consumers that only read the restriction
         (or clone it themselves, as ``CleaningSession.clean`` does):
-        mutating a shared tuple mutates both relations.  For columnar
-        relations this shares the backing columns too — the twin holds
-        the same store and the same row-views, no refs are copied.
+        mutating a shared tuple mutates both relations.  The backing
+        columns are shared too — the twin holds the same store and the
+        same row-views, no refs are copied.
         """
         wanted = set(tids)
         missing = wanted - self._tuples.keys()
@@ -798,13 +721,8 @@ class Relation:
                 f"relation {self.schema.name!r} has no tuple "
                 f"#{min(missing)} to restrict to"
             )
-        columnar = self._columns is not None
-        twin = Relation(self.schema, columnar=False)
-        if not columnar:
-            for tid, t in self._tuples.items():
-                if tid in wanted:
-                    twin._tuples[tid] = t.clone() if copy else t
-        elif copy:
+        twin = Relation(self.schema)
+        if copy:
             source = self._columns
             store = twin._columns = ColumnStore(self.schema, source.table)
             make = ColumnTuple.make

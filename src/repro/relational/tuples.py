@@ -8,7 +8,7 @@ cleaning algorithms treat as below any threshold (Section 6: "low or
 unavailable").
 
 :class:`CTuple` here is the *standalone*, dict-backed form; tuples
-resident in a columnar :class:`~repro.relational.relation.Relation` are
+resident in a :class:`~repro.relational.relation.Relation` are
 :class:`~repro.relational.columns.ColumnTuple` row-views — a subclass
 whose cells live in interned ref columns but which honours every method
 below (clones and pickles of a row-view detach back into this class).

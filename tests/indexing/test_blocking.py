@@ -5,7 +5,6 @@ import pytest
 from repro.constraints import MD
 from repro.indexing import ExactIndex, MDBlockingIndex, build_md_indexes
 from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import using_match_engine
 from repro.similarity import edit_within
 
 
@@ -151,11 +150,10 @@ class TestTopLDroppedMatchRegression:
         ]
 
     def test_join_is_the_default_engine(self, md, master, probe):
-        with using_match_engine("join"):
-            index = MDBlockingIndex(md, master, top_l=4)
-            assert index.engine == "join"
-            assert index.is_exact
-            assert [s.tid for s in index.matches(probe)] == [6]
+        index = MDBlockingIndex(md, master, top_l=4)
+        assert index.engine == "join"
+        assert index.is_exact
+        assert [s.tid for s in index.matches(probe)] == [6]
 
     def test_warm_cache_round_trip_under_join(self, md, master, probe):
         index = MDBlockingIndex(md, master, engine="join")

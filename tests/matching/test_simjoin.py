@@ -1,18 +1,16 @@
 """Unit tests for the set-based similarity-join engine."""
 
+import contextlib
+
 import pytest
 
+from repro import oracle
 from repro.constraints import MD
+from repro.core import UniCleanConfig
 from repro.indexing import MDBlockingIndex, build_md_indexes
 from repro.matching.simjoin import ProfileCache, QGramIndex
 from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import (
-    GLOBAL_TABLE,
-    match_engine,
-    set_match_engine,
-    using_backend,
-    using_match_engine,
-)
+from repro.relational.columns import GLOBAL_TABLE
 from repro.similarity import (
     EQ,
     edit_within,
@@ -163,32 +161,34 @@ class TestProfileCache:
 
 
 class TestMatchEngineFlag:
-    def test_set_match_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_match_engine("turbo")
+    def test_set_match_engine_rejects_unknown(self, master, schema):
+        # Both places an engine is chosen reject unknown names up front.
+        md = MD(
+            schema, schema, [("name", "name", edit_within(1))], [("phone", "phone")]
+        )
+        with pytest.raises(ValueError, match="unknown match engine"):
+            MDBlockingIndex(md, master, engine="turbo")
+        with pytest.raises(ValueError, match="unknown match engine"):
+            UniCleanConfig(match_engine="turbo")
 
-    def test_using_match_engine_restores(self):
-        before = match_engine()
-        with using_match_engine("reference"):
-            assert match_engine() == "reference"
-        assert match_engine() == before
-
-    def test_default_is_join(self):
-        # The exact engine is the default; reference is the escape hatch.
-        assert match_engine() in ("join", "reference")
+    def test_default_is_join(self, master, schema):
+        # The exact engine is the default; reference is the ablation.
+        md = MD(
+            schema, schema, [("name", "name", edit_within(1))], [("phone", "phone")]
+        )
+        assert MDBlockingIndex(md, master).engine == "join"
+        assert UniCleanConfig().match_engine == "join"
 
     def test_constructor_override_beats_flag(self, master, schema):
         md = MD(
             schema, schema, [("name", "name", edit_within(1))], [("phone", "phone")]
         )
-        with using_match_engine("join"):
-            index = MDBlockingIndex(md, master, engine="reference")
-            assert index.engine == "reference"
-            assert index.join_index is None
-        with using_match_engine("reference"):
-            index = MDBlockingIndex(md, master, engine="join")
-            assert index.engine == "join"
-            assert index.join_index is not None
+        index = MDBlockingIndex(md, master, engine="reference")
+        assert index.engine == "reference"
+        assert index.join_index is None
+        index = MDBlockingIndex(md, master, engine="join")
+        assert index.engine == "join"
+        assert index.join_index is not None
 
     def test_build_md_indexes_threads_engine(self, master, schema):
         md = MD(
@@ -199,9 +199,15 @@ class TestMatchEngineFlag:
 
 
 class TestEngineEquivalence:
-    @pytest.fixture(params=[True, False], ids=["columnar", "dict"])
+    # "columnar": the production ref grouping of master values; "dict":
+    # the oracle's per-tuple ``(type, value)``-keyed grouping
+    # (:func:`repro.oracle.value_groups`), swapped in for the whole test.
+    @pytest.fixture(params=[False, True], ids=["columnar", "dict"])
     def backed_master(self, request, schema):
-        with using_backend(request.param):
+        kernels = (
+            oracle.reference_kernels() if request.param else contextlib.nullcontext()
+        )
+        with kernels:
             yield Relation.from_dicts(
                 schema,
                 [

@@ -645,6 +645,8 @@ class TestGoldenFixture:
         session = CleaningSession.restore(GOLDEN_SNAP)
         got = golden_expectation(session)
         assert got == expected
+        # Written before the config had a match engine: loads as the default.
+        assert session.config.match_engine == "join"
 
     def test_restored_fixture_session_still_cleans(self):
         session = CleaningSession.restore(GOLDEN_SNAP)

@@ -1,22 +1,28 @@
-"""Property tests: the columnar backend + vectorized check engine is
-byte-identical to the dict backend + per-tuple reference engine.
+"""Property tests: the column store and its check, group-store and
+encode kernels are byte-identical to the per-tuple oracles of
+:mod:`repro.oracle`.
 
 Three families:
 
-1. **Engine equivalence** — full cleans of the HOSP and PART testbeds
-   under every backend×engine configuration must produce identical fix
-   logs (every field), per-cell cost totals, satisfaction verdicts,
-   repaired states and phase scheduling traces.
+1. **Engine equivalence** — full cleans of the HOSP and PART testbeds on
+   the production kernels and under :func:`repro.oracle.reference_kernels`
+   must produce identical fix logs (every field), per-cell cost totals,
+   satisfaction verdicts, repaired states and phase scheduling traces.
 2. **Fuzzed mutation interleavings** — arbitrary sequences of
-   ``set_value`` / insert / delete / ``remove`` applied to a columnar
-   relation and a dict-backed twin keep the two byte-identical, keep the
-   columns coherent with the tuple views (group stores attached to the
-   columnar relation pass ``check_consistency``), and keep retired tids
-   dead.
-3. **Zero-materialization regression** — the vectorized bulk builds and
-   the blocking-scan check loop never materialize a per-tuple ``_values``
-   / ``_conf`` dict (the counter in :mod:`repro.relational.columns`).
+   ``set_value`` / insert / delete / ``remove`` applied to a relation and
+   to the dict-of-``CTuple`` model (:class:`repro.oracle.DictRelation`)
+   keep the two byte-identical, keep the columns coherent with the tuple
+   views (group stores attached to the relation pass
+   ``check_consistency``), and keep retired tids dead; afterwards the
+   check scan, the group-store bulk builds, ``cfd_member_tids`` and the
+   wire encode all match their oracles.
+3. **Zero-materialization regression** — the bulk builds and the
+   blocking-scan check loop never materialize a per-tuple ``_values`` /
+   ``_conf`` dict (the counter in :mod:`repro.relational.columns`).
 """
+
+import contextlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -26,20 +32,21 @@ from repro.analysis.consistency import relation_is_clean, relation_violations
 from repro.constraints import CFD, MD
 from repro.core import UniCleanConfig
 from repro.evaluation import generate
-from repro.indexing.group_store import GroupStoreRegistry
+from repro import oracle
+from repro.constraints.rules import derive_rules
+from repro.indexing.group_store import GroupStoreRegistry, cfd_member_tids
 from repro.indexing.violation_index import ViolationIndex
-from repro.pipeline import CleaningSession
+from repro.pipeline import CleaningSession, payload
 from repro.relational import NULL, Relation, Schema
 from repro.relational import columns
-from repro.relational.columns import using_backend, using_engine
 
-#: backend (columnar?) × check engine; the last entry is the seed-era
-#: configuration every other one must reproduce byte for byte.
-CONFIGS = [
-    ("columnar+vectorized", True, "vectorized"),
-    ("columnar+reference", True, "reference"),
-    ("dict+reference", False, "reference"),
-]
+
+def _kernels(use_oracle: bool):
+    return oracle.reference_kernels() if use_oracle else contextlib.nullcontext()
+
+
+def _violation_keys(violations):
+    return [(v.constraint.name, v.tids, v.attr) for v in violations]
 
 
 def _fingerprint(log):
@@ -60,10 +67,10 @@ def _full_state(relation):
 # ----------------------------------------------------------------------
 # 1. Engine equivalence on the generated testbeds
 # ----------------------------------------------------------------------
-def _clean_observables(dataset: str, columnar: bool, engine: str, **params):
-    """One full traced clean under the given backend×engine; everything
-    observable, with no wall-clock anywhere."""
-    with using_backend(columnar), using_engine(engine):
+def _clean_observables(dataset: str, use_oracle: bool, **params):
+    """One full traced clean on the production kernels or the oracles;
+    everything observable, with no wall-clock anywhere."""
+    with _kernels(use_oracle):
         ds = generate(dataset, **params)
         session = CleaningSession(
             cfds=ds.cfds, mds=ds.mds, master=ds.master,
@@ -81,49 +88,31 @@ def _clean_observables(dataset: str, columnar: bool, engine: str, **params):
 
 @pytest.mark.parametrize("seed", [3, 7])
 def test_hosp_clean_identical_across_engines(seed):
-    results = {
-        name: _clean_observables(
-            "hosp", columnar, engine,
-            size=150, master_size=75, noise_rate=0.08, seed=seed,
-        )
-        for name, columnar, engine in CONFIGS
-    }
-    reference = results["dict+reference"]
+    params = dict(size=150, master_size=75, noise_rate=0.08, seed=seed)
+    reference = _clean_observables("hosp", True, **params)
     assert reference["fix_log"]  # the workload must actually repair
-    for name, observed in results.items():
-        assert observed == reference, f"{name} diverged from the reference"
+    assert _clean_observables("hosp", False, **params) == reference
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_part_clean_identical_across_engines(seed):
-    results = {
-        name: _clean_observables(
-            "partitioned", columnar, engine,
-            size=600, n_blocks=8, noise_rate=0.05, seed=seed,
-        )
-        for name, columnar, engine in CONFIGS
-    }
-    reference = results["dict+reference"]
+    params = dict(size=600, n_blocks=8, noise_rate=0.05, seed=seed)
+    reference = _clean_observables("partitioned", True, **params)
     assert reference["fix_log"]
-    for name, observed in results.items():
-        assert observed == reference, f"{name} diverged from the reference"
+    assert _clean_observables("partitioned", False, **params) == reference
 
 
 def test_violation_scan_identical_across_engines():
     """`relation_violations` itself (both null semantics) byte-matches."""
-    with using_backend(True):
-        ds = generate("hosp", size=200, master_size=100, noise_rate=0.1, seed=5)
+    ds = generate("hosp", size=200, master_size=100, noise_rate=0.1, seed=5)
     for semantics in ("tolerant", "strict"):
-        with using_engine("vectorized"):
-            fast = relation_violations(ds.dirty, ds.cfds, null_semantics=semantics)
-        with using_engine("reference"):
+        fast = relation_violations(ds.dirty, ds.cfds, null_semantics=semantics)
+        with oracle.reference_kernels():
             slow = relation_violations(ds.dirty, ds.cfds, null_semantics=semantics)
-        assert [
-            (v.constraint.name, v.tids, v.attr) for v in fast
-        ] == [(v.constraint.name, v.tids, v.attr) for v in slow]
-    with using_engine("vectorized"):
-        fast_clean = relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)
-    with using_engine("reference"):
+        assert slow  # the scan must actually find violations
+        assert _violation_keys(fast) == _violation_keys(slow)
+    fast_clean = relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)
+    with oracle.reference_kernels():
         slow_clean = relation_is_clean(ds.dirty, ds.cfds, ds.mds, ds.master)
     assert fast_clean == slow_clean
 
@@ -164,15 +153,14 @@ ops = st.lists(
 )
 
 
-def _build(data, columnar: bool) -> Relation:
-    with using_backend(columnar):
-        relation = Relation(SCHEMA)
+def _build(data, model: bool = False):
+    relation = oracle.DictRelation(SCHEMA) if model else Relation(SCHEMA)
     for k, a, b in data:
         relation.add_row({"K": k, "A": a, "B": b}, {"K": 0.5})
     return relation
 
 
-def _apply_ops(relation: Relation, compact) -> None:
+def _apply_ops(relation, compact) -> None:
     for op in compact:
         live = list(relation.tids())
         if op[0] == "set":
@@ -199,8 +187,8 @@ class TestFuzzedInterleavings:
     @given(rows, ops)
     @settings(max_examples=80, deadline=None)
     def test_columnar_tracks_dict_twin(self, data, compact):
-        columnar = _build(data, columnar=True)
-        flat = _build(data, columnar=False)
+        columnar = _build(data)
+        flat = _build(data, model=True)
         registry = GroupStoreRegistry(columnar)
         for cfd in CFDS:
             registry.cfd_store(cfd)
@@ -243,20 +231,52 @@ class TestFuzzedInterleavings:
         }
         assert grouped == flat_grouped
 
+        assert columnar.active_domain("A") == flat.active_domain("A")
+
     @given(rows, ops)
     @settings(max_examples=40, deadline=None)
     def test_violations_identical_after_interleaving(self, data, compact):
-        columnar = _build(data, columnar=True)
-        flat = _build(data, columnar=False)
-        _apply_ops(columnar, compact)
-        _apply_ops(flat, compact)
-        with using_engine("vectorized"):
-            fast = relation_violations(columnar, CFDS)
-        with using_engine("reference"):
-            slow = relation_violations(flat, CFDS)
-        assert [
-            (v.constraint.name, v.tids, v.attr) for v in fast
-        ] == [(v.constraint.name, v.tids, v.attr) for v in slow]
+        relation = _build(data)
+        _apply_ops(relation, compact)
+        for semantics in ("tolerant", "strict"):
+            fast = relation_violations(relation, CFDS, null_semantics=semantics)
+            with oracle.reference_kernels():
+                slow = relation_violations(relation, CFDS, null_semantics=semantics)
+            assert _violation_keys(fast) == _violation_keys(slow)
+        for cfd in CFDS:
+            assert cfd_member_tids(relation, cfd) == oracle.cfd_member_tids(
+                relation, cfd
+            )
+        rules = derive_rules(CFDS, MDS)
+        assert _bulk_built(relation, rules, False) == _bulk_built(
+            relation, rules, True
+        )
+        assert _encoded(relation, False) == _encoded(relation, True)
+
+
+def _bulk_built(relation, rules, use_oracle):
+    """The repr of every fresh store's groups (member tids, RHS value
+    counts) and key map, in insertion order — the order the repair
+    phases iterate in; ``repr`` tells ``0``/``0.0``/``False`` apart."""
+    with _kernels(use_oracle):
+        registry = GroupStoreRegistry(relation, attach=False)
+        registry.ensure_rules(rules)
+    out = []
+    for store in registry.stores():
+        for key, group in store.groups.items():
+            if isinstance(group, set):  # MD store: the member tids
+                out.append((key, sorted(group)))
+            else:
+                out.append((key, sorted(group.tids), list(group.value_counts.items())))
+        out.append(list(store.key_of.items()))
+    return repr(out)
+
+
+def _encoded(relation, use_oracle):
+    table = payload.ValueTable()
+    with _kernels(use_oracle):
+        blob = payload.encode_relation(relation, table)
+    return pickle.dumps((blob, table.values))
 
 
 # ----------------------------------------------------------------------
@@ -266,21 +286,16 @@ def test_blocking_scan_hot_loop_materializes_no_dicts():
     """Bulk group-store builds, the violation-index build and the
     vectorized check scan must never touch ``_values``/``_conf`` — the
     regression guard for the blocking-scan hot loop (CI job
-    ``columnar-equivalence-smoke``)."""
-    with using_backend(True):
-        ds = generate("hosp", size=120, master_size=60, noise_rate=0.1, seed=9)
+    ``oracle-equivalence-smoke``)."""
+    ds = generate("hosp", size=120, master_size=60, noise_rate=0.1, seed=9)
     relation = ds.dirty
-    assert relation.column_store is not None
-    from repro.constraints.rules import derive_rules
-
     rules = derive_rules(ds.cfds, ds.mds)
-    with using_engine("vectorized"):
-        before = columns.materializations()
-        registry = GroupStoreRegistry(relation, attach=False)
-        registry.ensure_rules(rules)
-        index = ViolationIndex(relation, derive_rules(ds.cfds), attach=False)
-        relation_violations(relation, ds.cfds, violation_index=index)
-        relation_violations(relation, ds.cfds, null_semantics="strict")
-        assert columns.materializations() == before, (
-            "the vectorized hot loop materialized per-tuple dicts"
-        )
+    before = columns.materializations()
+    registry = GroupStoreRegistry(relation, attach=False)
+    registry.ensure_rules(rules)
+    index = ViolationIndex(relation, derive_rules(ds.cfds), attach=False)
+    relation_violations(relation, ds.cfds, violation_index=index)
+    relation_violations(relation, ds.cfds, null_semantics="strict")
+    assert columns.materializations() == before, (
+        "the hot loop materialized per-tuple dicts"
+    )

@@ -1,7 +1,7 @@
 """Property tests: the similarity-join match engine is lossless and
 byte-identical to exhaustive reference matching.
 
-``REPRO_MATCH_ENGINE`` selects how ``MDBlockingIndex`` retrieves
+``UniCleanConfig.match_engine`` selects how ``MDBlockingIndex`` retrieves
 similarity candidates: the filtered similarity join of
 ``matching/simjoin.py`` (``join``, the default — over the whole master
 for pure-similarity premises, inside the probe's equality bucket when
@@ -15,14 +15,15 @@ must hold everywhere:
    match set of an exhaustive full scan;
 2. **Byte-identity** — ``matches()``/``find_match()`` (and, through
    them, whole-pipeline fix logs, costs, states and verdicts) are
-   identical to the exhaustive reference under every
-   ``REPRO_COLUMNAR`` × ``REPRO_MATCH_ENGINE`` configuration.
+   identical to the exhaustive reference, on the production kernels and
+   under the per-tuple oracles (:func:`repro.oracle.reference_kernels`),
+   with the oracle run of the reference engine as the comparator.
 
 Three families:
 
 1. **Testbed equivalence** — full cleans of the DBLP and HOSP testbeds
    (whose similarity MDs carry equality clauses: the bucketed join)
-   under all four backend×match-engine configurations, plus a
+   under all four kernels×match-engine configurations, plus a
    pure-similarity-premise workload that exercises the whole-master
    join inside a cleaning session.
 2. **Fuzzed lookup equivalence** — hypothesis-generated master values,
@@ -35,36 +36,40 @@ Three families:
    low-cardinality group attribute (the join then runs inside the
    probe's equality bucket — one-value buckets, duplicate master values
    and nulls on either attribute included).
-3. **Flag mechanics** — the engine switch validates input, restores on
-   exit, and the per-index override beats the process-wide flag.
+3. **Config mechanics** — the config validates the engine at
+   construction, reaches the session's indexes, and upgrades pickles
+   written before the field or with its former ``None`` default.
 """
+
+import contextlib
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import oracle
 from repro.constraints import MD
 from repro.core import UniCleanConfig
 from repro.evaluation import generate
 from repro.indexing import MDBlockingIndex
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import (
-    match_engine,
-    set_match_engine,
-    using_backend,
-    using_match_engine,
-)
 from repro.similarity import edit_within, qgram_jaccard_at_least
 
-#: backend (columnar?) × match engine; the dict+reference entry is the
+#: kernels (oracle?) × match engine; the oracle+reference entry is the
 #: seed-era configuration every other one must reproduce byte for byte.
 CONFIGS = [
-    ("columnar+join", True, "join"),
-    ("columnar+reference", True, "reference"),
-    ("dict+join", False, "join"),
-    ("dict+reference", False, "reference"),
+    ("production+join", False, "join"),
+    ("production+reference", False, "reference"),
+    ("oracle+join", True, "join"),
+    ("oracle+reference", True, "reference"),
 ]
+REFERENCE = "oracle+reference"
+
+
+def _kernels(use_oracle):
+    return oracle.reference_kernels() if use_oracle else contextlib.nullcontext()
 
 
 def _fingerprint(log):
@@ -105,12 +110,13 @@ def _assert_all_match(results, reference_name):
 # ----------------------------------------------------------------------
 # 1. Testbed equivalence
 # ----------------------------------------------------------------------
-def _clean_observables(dataset, columnar, engine, **params):
-    with using_backend(columnar), using_match_engine(engine):
+def _clean_observables(dataset, use_oracle, engine, **params):
+    with _kernels(use_oracle):
         ds = generate(dataset, **params)
         session = CleaningSession(
             cfds=ds.cfds, mds=ds.mds, master=ds.master,
-            config=UniCleanConfig(eta=1.0), collect_traces=True,
+            config=UniCleanConfig(eta=1.0, match_engine=engine),
+            collect_traces=True,
         )
         result = session.clean(ds.dirty)
         return _observables(session, result)
@@ -120,26 +126,26 @@ def _clean_observables(dataset, columnar, engine, **params):
 def test_dblp_clean_identical_across_match_engines(seed):
     results = {
         name: _clean_observables(
-            "dblp", columnar, engine,
+            "dblp", use_oracle, engine,
             size=120, master_size=60, noise_rate=0.08, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, use_oracle, engine in CONFIGS
     }
-    assert results["dict+reference"]["fix_log"]  # workload must repair
-    _assert_all_match(results, "dict+reference")
+    assert results[REFERENCE]["fix_log"]  # workload must repair
+    _assert_all_match(results, REFERENCE)
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_hosp_clean_identical_across_match_engines(seed):
     results = {
         name: _clean_observables(
-            "hosp", columnar, engine,
+            "hosp", use_oracle, engine,
             size=150, master_size=75, noise_rate=0.08, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, use_oracle, engine in CONFIGS
     }
-    assert results["dict+reference"]["fix_log"]
-    _assert_all_match(results, "dict+reference")
+    assert results[REFERENCE]["fix_log"]
+    _assert_all_match(results, REFERENCE)
 
 
 # A workload whose MD premise is *pure similarity* — no equality clause —
@@ -170,21 +176,22 @@ def _sim_md():
 
 def test_pure_similarity_premise_clean_identical_across_configs():
     results = {}
-    for name, columnar, engine in CONFIGS:
-        with using_backend(columnar), using_match_engine(engine):
+    for name, use_oracle, engine in CONFIGS:
+        with _kernels(use_oracle):
             master = Relation.from_dicts(SIM_SCHEMA, SIM_MASTER_ROWS)
             dirty = Relation.from_dicts(SIM_SCHEMA, SIM_DIRTY_ROWS)
             session = CleaningSession(
                 cfds=[], mds=[_sim_md()], master=master,
-                config=UniCleanConfig(eta=1.0), collect_traces=True,
+                config=UniCleanConfig(eta=1.0, match_engine=engine),
+                collect_traces=True,
             )
             result = session.clean(dirty)
             results[name] = _observables(session, result)
             if engine == "join":
                 (index,) = session.md_indexes.values()
                 assert index.join_index is not None  # join path exercised
-    assert results["dict+reference"]["fix_log"]
-    _assert_all_match(results, "dict+reference")
+    assert results[REFERENCE]["fix_log"]
+    _assert_all_match(results, REFERENCE)
 
 
 # ----------------------------------------------------------------------
@@ -313,40 +320,38 @@ class TestFuzzedLookupEquivalence:
 
 
 # ----------------------------------------------------------------------
-# 3. Flag mechanics
+# 3. Config mechanics
 # ----------------------------------------------------------------------
 class TestMatchEngineFlagMechanics:
     def test_set_match_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_match_engine("hypersonic")
-
-    def test_using_match_engine_restores(self):
-        before = match_engine()
-        with using_match_engine("reference"):
-            assert match_engine() == "reference"
-        assert match_engine() == before
+        # Rejected when the config is built, not at the first index
+        # build inside clean() (a shard worker, for sharded sessions).
+        with pytest.raises(ValueError, match="unknown match engine 'hypersonic'"):
+            UniCleanConfig(match_engine="hypersonic")
 
     def test_config_override_reaches_session_indexes(self):
         master = Relation.from_dicts(SIM_SCHEMA, SIM_MASTER_ROWS)
-        with using_match_engine("join"):
-            session = CleaningSession(
-                cfds=[], mds=[_sim_md()], master=master,
-                config=UniCleanConfig(eta=1.0, match_engine="reference"),
-            )
-            session._ensure_md_indexes()
-            assert all(
-                ix.engine == "reference" for ix in session.md_indexes.values()
-            )
+        session = CleaningSession(
+            cfds=[], mds=[_sim_md()], master=master,
+            config=UniCleanConfig(eta=1.0, match_engine="reference"),
+        )
+        session._ensure_md_indexes()
+        assert all(
+            ix.engine == "reference" for ix in session.md_indexes.values()
+        )
 
-    def test_old_configs_without_the_field_default_to_flag(self):
-        config = UniCleanConfig(eta=1.0)
-        del config.__dict__["match_engine"]  # simulate a pre-field pickle
+    def test_old_configs_without_the_field_default_to_join(self):
         master = Relation.from_dicts(SIM_SCHEMA, SIM_MASTER_ROWS)
-        with using_match_engine("reference"):
+        for forged in ("absent", None):
+            config = UniCleanConfig(eta=1.0, match_engine="reference")
+            if forged == "absent":
+                del config.__dict__["match_engine"]  # a pre-field pickle
+            else:
+                config.__dict__["match_engine"] = None  # the former default
+            restored = pickle.loads(pickle.dumps(config))
+            assert restored.match_engine == "join"
             session = CleaningSession(
-                cfds=[], mds=[_sim_md()], master=master, config=config
+                cfds=[], mds=[_sim_md()], master=master, config=restored
             )
             session._ensure_md_indexes()
-            assert all(
-                ix.engine == "reference" for ix in session.md_indexes.values()
-            )
+            assert all(ix.engine == "join" for ix in session.md_indexes.values())

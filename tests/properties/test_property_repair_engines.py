@@ -1,53 +1,45 @@
-"""Property tests: the vectorized repair engine is byte-identical to
-the per-tuple reference repair path.
+"""Property tests: the repair kernels are byte-identical to the
+per-tuple repair oracles of :mod:`repro.oracle`.
 
-``REPRO_REPAIR_ENGINE`` selects how cRepair seeds its worklist and
-resolves constant-CFD targets, how eRepair scores and applies majority
-candidates, and how hRepair builds its equivalence classes — ref-column
-kernels versus the seed-era per-tuple loops.  The standing invariant is
-that the choice is *unobservable*: ordered fix logs (every field),
-per-cell cost maps, phase scheduling traces, repaired states and clean
-verdicts must match byte for byte under every
-``REPRO_COLUMNAR`` × ``REPRO_REPAIR_ENGINE`` configuration.
+cRepair seeds its worklist and resolves constant-CFD targets, eRepair
+scores and applies majority candidates, and hRepair builds its
+equivalence classes with ref-column kernels; the seed-era per-tuple
+loops survive as oracles that :func:`repro.oracle.reference_kernels`
+swaps in.  The standing invariant is that the kernels are
+*unobservable*: ordered fix logs (every field), per-cell cost maps,
+phase scheduling traces, repaired states and clean verdicts match the
+oracle byte for byte — on the violation-index path and on the
+legacy-scan path (``use_violation_index=False``, no traces), whose
+hRepair groups come from a premise scan instead of dirty partitions.
 
-Three families:
+Two families:
 
-1. **Testbed equivalence** — full cleans of the HOSP and PART testbeds
-   under all four backend×repair-engine configurations.
+1. **Testbed equivalence** — full cleans of the HOSP and PART testbeds.
 2. **Fuzzed mutation interleavings** — arbitrary edit / insert / remove
    sequences applied before cleaning; the whole repair trajectory must
-   stay identical across configurations.
-3. **Flag mechanics** — the engine switch validates its input, restores
-   on exit, and degrades to the reference path for dict-backed
-   relations.
+   stay identical to the oracle's.
 """
+
+import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import oracle
 from repro.constraints import CFD, MD
 from repro.core import UniCleanConfig
 from repro.evaluation import generate
 from repro.pipeline import CleaningSession
 from repro.relational import NULL, Relation, Schema
-from repro.relational.columns import (
-    repair_engine,
-    repair_vectorized_for,
-    set_repair_engine,
-    using_backend,
-    using_repair_engine,
-)
 
-#: backend (columnar?) × repair engine; the last entry is the seed-era
-#: configuration every other one must reproduce byte for byte.  The
-#: dict+vectorized row checks the graceful degrade: without a column
-#: store the flag is inert and the reference path runs.
+#: (kernels, use_violation_index); each production run must reproduce
+#: the oracle run with the same index setting byte for byte.
 CONFIGS = [
-    ("columnar+vectorized", True, "vectorized"),
-    ("columnar+reference", True, "reference"),
-    ("dict+vectorized", False, "vectorized"),
-    ("dict+reference", False, "reference"),
+    ("production", False, True),
+    ("oracle", True, True),
+    ("production+legacy", False, False),
+    ("oracle+legacy", True, False),
 ]
 
 
@@ -78,25 +70,37 @@ def _observables(session, result):
     }
 
 
-def _assert_all_match(results, reference_name):
-    reference = results[reference_name]
+def _assert_all_match(results):
     for name, observed in results.items():
+        if not name.startswith("production"):
+            continue
+        reference_name = name.replace("production", "oracle")
+        reference = results[reference_name]
         for key in reference:
             assert observed[key] == reference[key], (
                 f"{name} diverged from {reference_name} on {key}"
             )
 
 
+def _session(cfds, mds, master, use_violation_index):
+    return CleaningSession(
+        cfds=cfds, mds=mds, master=master,
+        config=UniCleanConfig(eta=1.0, use_violation_index=use_violation_index),
+        collect_traces=use_violation_index,
+    )
+
+
+def _kernels(use_oracle):
+    return oracle.reference_kernels() if use_oracle else contextlib.nullcontext()
+
+
 # ----------------------------------------------------------------------
 # 1. Testbed equivalence
 # ----------------------------------------------------------------------
-def _clean_observables(dataset, columnar, engine, **params):
-    with using_backend(columnar), using_repair_engine(engine):
+def _clean_observables(dataset, use_oracle, use_violation_index, **params):
+    with _kernels(use_oracle):
         ds = generate(dataset, **params)
-        session = CleaningSession(
-            cfds=ds.cfds, mds=ds.mds, master=ds.master,
-            config=UniCleanConfig(eta=1.0), collect_traces=True,
-        )
+        session = _session(ds.cfds, ds.mds, ds.master, use_violation_index)
         result = session.clean(ds.dirty)
         return _observables(session, result)
 
@@ -105,26 +109,26 @@ def _clean_observables(dataset, columnar, engine, **params):
 def test_hosp_repair_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "hosp", columnar, engine,
+            "hosp", use_oracle, use_index,
             size=150, master_size=75, noise_rate=0.08, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, use_oracle, use_index in CONFIGS
     }
-    assert results["dict+reference"]["fix_log"]  # workload must repair
-    _assert_all_match(results, "dict+reference")
+    assert results["oracle"]["fix_log"]  # workload must repair
+    _assert_all_match(results)
 
 
 @pytest.mark.parametrize("seed", [11, 23])
 def test_part_repair_identical_across_engines(seed):
     results = {
         name: _clean_observables(
-            "partitioned", columnar, engine,
+            "partitioned", use_oracle, use_index,
             size=600, n_blocks=8, noise_rate=0.05, seed=seed,
         )
-        for name, columnar, engine in CONFIGS
+        for name, use_oracle, use_index in CONFIGS
     }
-    assert results["dict+reference"]["fix_log"]
-    _assert_all_match(results, "dict+reference")
+    assert results["oracle"]["fix_log"]
+    _assert_all_match(results)
 
 
 # ----------------------------------------------------------------------
@@ -180,16 +184,13 @@ def _build_and_mutate(data, mutations):
     return relation
 
 
-def _trajectory(data, mutations, columnar, engine):
-    with using_backend(columnar), using_repair_engine(engine):
+def _trajectory(data, mutations, use_oracle, use_violation_index):
+    with _kernels(use_oracle):
         relation = _build_and_mutate(data, mutations)
         if not len(relation):
             return None
         master = Relation.from_dicts(MASTER_SCHEMA, MASTER_ROWS)
-        session = CleaningSession(
-            cfds=CFDS, mds=MDS, master=master,
-            config=UniCleanConfig(eta=1.0), collect_traces=True,
-        )
+        session = _session(CFDS, MDS, master, use_violation_index)
         result = session.clean(relation)
         return _observables(session, result)
 
@@ -199,38 +200,10 @@ class TestFuzzedRepairTrajectories:
     @settings(max_examples=25, deadline=None)
     def test_trajectory_identical_across_engines(self, data, mutations):
         results = {
-            name: _trajectory(data, mutations, columnar, engine)
-            for name, columnar, engine in CONFIGS
+            name: _trajectory(data, mutations, use_oracle, use_index)
+            for name, use_oracle, use_index in CONFIGS
         }
-        reference = results["dict+reference"]
-        if reference is None:
+        if results["oracle"] is None:
             assert all(observed is None for observed in results.values())
             return
-        _assert_all_match(results, "dict+reference")
-
-
-# ----------------------------------------------------------------------
-# 3. Flag mechanics
-# ----------------------------------------------------------------------
-class TestRepairEngineFlag:
-    def test_set_repair_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_repair_engine("turbo")
-
-    def test_using_repair_engine_restores(self):
-        before = repair_engine()
-        with using_repair_engine("reference"):
-            assert repair_engine() == "reference"
-        assert repair_engine() == before
-
-    def test_dict_backed_relations_degrade_to_reference(self):
-        flat = Relation(SCHEMA, columnar=False)
-        flat.add_row({"K": "k1", "A": "a1", "B": "b1"})
-        with using_repair_engine("vectorized"):
-            assert not repair_vectorized_for(flat)
-        with using_backend(True):
-            columnar = Relation.from_dicts(SCHEMA, [{"K": "k1"}])
-        with using_repair_engine("vectorized"):
-            assert repair_vectorized_for(columnar)
-        with using_repair_engine("reference"):
-            assert not repair_vectorized_for(columnar)
+        _assert_all_match(results)

@@ -4,7 +4,8 @@ Covers the interning table (canon semantics), the typed-column and
 bitmap primitives, the per-relation :class:`ColumnStore` bookkeeping
 (append / tombstone / adopt), the :class:`ColumnTuple` row-view API
 against the dict-backed :class:`CTuple` reference, and the bulk
-ref-level accessors on :class:`Relation`.
+ref-level accessors on :class:`Relation` (against the dict-of-``CTuple``
+oracle model, :class:`repro.oracle.DictRelation`).
 """
 
 import pickle
@@ -12,6 +13,7 @@ import pickle
 import pytest
 
 from repro.exceptions import DataError, SchemaError
+from repro.oracle import DictRelation
 from repro.relational import CTuple, NULL, Relation, Schema
 from repro.relational.columns import (
     Bitmap,
@@ -21,9 +23,6 @@ from repro.relational.columns import (
     IntColumn,
     ValueTable,
     materializations,
-    set_check_engine,
-    using_backend,
-    using_engine,
 )
 
 
@@ -34,18 +33,15 @@ def schema() -> Schema:
 
 @pytest.fixture()
 def rel(schema) -> Relation:
-    # Force the columnar backend so the suite tests it even when the
-    # ambient REPRO_COLUMNAR flag selects the dict backend.
-    with using_backend(True):
-        return Relation.from_dicts(
-            schema,
-            [
-                {"A": "a1", "B": "b1", "C": 1},
-                {"A": "a1", "B": "b2", "C": 2},
-                {"A": "a2", "B": "b1", "C": 1},
-            ],
-            [{"A": 0.9}, {}, {"C": 0.5}],
-        )
+    return Relation.from_dicts(
+        schema,
+        [
+            {"A": "a1", "B": "b1", "C": 1},
+            {"A": "a1", "B": "b2", "C": 2},
+            {"A": "a2", "B": "b1", "C": 1},
+        ],
+        [{"A": 0.9}, {}, {"C": 0.5}],
+    )
 
 
 class TestValueTable:
@@ -290,8 +286,7 @@ class TestColumnTuple:
         assert not t.has_conf_at_least("B", 0.0)  # None = unavailable
 
     def test_equality_same_store_and_cross_backend(self, schema, rel):
-        with using_backend(True):
-            twin = Relation.from_dicts(schema, [{"A": "a1", "B": "b1", "C": 1}])
+        twin = Relation.from_dicts(schema, [{"A": "a1", "B": "b1", "C": 1}])
         assert rel.by_tid(0) == twin.by_tid(0)  # canon fast path
         assert rel.by_tid(0) != rel.by_tid(1)
         plain = CTuple(schema, {"A": "a1", "B": "b1", "C": 1})
@@ -299,9 +294,8 @@ class TestColumnTuple:
         assert hash(rel.by_tid(0)) == hash(plain)
 
     def test_equality_mixed_int_float(self, schema):
-        with using_backend(True):
-            a = Relation.from_dicts(schema, [{"A": "x", "B": "y", "C": 1}])
-            b = Relation.from_dicts(schema, [{"A": "x", "B": "y", "C": 1.0}])
+        a = Relation.from_dicts(schema, [{"A": "x", "B": "y", "C": 1}])
+        b = Relation.from_dicts(schema, [{"A": "x", "B": "y", "C": 1.0}])
         assert a.by_tid(0) == b.by_tid(0)  # 1 == 1.0 through canon refs
 
     def test_clone_detaches(self, rel):
@@ -334,12 +328,12 @@ class TestColumnTuple:
 
 
 class TestRelationColumnarBackend:
-    def test_backend_toggle(self, schema):
-        with using_backend(False):
-            assert Relation(schema).column_store is None
-        with using_backend(True):
-            assert Relation(schema).column_store is not None
-        assert Relation(schema, columnar=False).column_store is None
+    def test_every_relation_is_column_backed(self, schema, rel):
+        assert isinstance(Relation(schema).column_store, ColumnStore)
+        unpickled = pickle.loads(pickle.dumps(rel))
+        for derived in (rel.clone(), rel.restrict([0]), unpickled):
+            assert isinstance(derived.column_store, ColumnStore)
+            assert all(isinstance(t, ColumnTuple) for t in derived)
 
     def test_value_table_is_process_wide(self, rel):
         assert rel.value_table is GLOBAL_TABLE
@@ -371,11 +365,7 @@ class TestRelationColumnarBackend:
     def test_pickle_roundtrip_preserves_state(self, rel):
         rel.remove(1)
         rel.add_row({"A": "late", "C": 9}, {"C": 0.3})
-        # Unpickling rebuilds under the ambient backend (refs are
-        # process-local); pin it so the roundtrip lands columnar.
-        with using_backend(True):
-            back = pickle.loads(pickle.dumps(rel))
-        assert back.column_store is not None
+        back = pickle.loads(pickle.dumps(rel))
         assert back.tids() == rel.tids()
         assert back._next_tid == rel._next_tid
         assert back.tid_retired(1)
@@ -449,17 +439,6 @@ class TestBulkAccessors:
         assert by_tid == by_tuple
         assert list(by_tid) == list(by_tuple)  # first-encounter order
 
-    def test_bulk_accessors_require_columns(self, schema):
-        with using_backend(True):
-            columnar = Relation.from_dicts(schema, [{"A": "x"}])
-        flat_dict = Relation(schema, columnar=False)
-        flat_dict.add_row({"A": "x"})
-        with pytest.raises(DataError):
-            flat_dict.column("A")
-        with pytest.raises(DataError):
-            flat_dict.project_refs(["A"])
-        assert columnar.column("A")
-
     def test_algebra_matches_dict_backend(self, schema):
         rows = [
             {"A": "a1", "B": "b1", "C": 1},
@@ -467,10 +446,10 @@ class TestBulkAccessors:
             {"A": "a2", "B": "b1", "C": 2},
             {"A": "a1", "B": "b1", "C": 1},
         ]
-        with using_backend(True):
-            columnar = Relation.from_dicts(schema, rows)
-        with using_backend(False):
-            flat = Relation.from_dicts(schema, rows)
+        columnar = Relation.from_dicts(schema, rows)
+        flat = DictRelation(schema)
+        for row in rows:
+            flat.add_row(row)
         for attrs in (["A"], ["A", "B"], ["C"], ["A", "B", "C"]):
             assert columnar.project(attrs) == flat.project(attrs)
             col_groups = {
@@ -486,27 +465,12 @@ class TestBulkAccessors:
             assert columnar.active_domain(attr) == flat.active_domain(attr)
 
 
-class TestEngineSwitches:
-    def test_set_check_engine_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            set_check_engine("turbo")
-
-    def test_using_engine_restores(self):
-        from repro.relational.columns import check_engine
-
-        before = check_engine()
-        with using_engine("reference"):
-            assert check_engine() == "reference"
-        assert check_engine() == before
-
-
 class TestCompaction:
     """Satellite (a): ``ColumnStore.compact`` reclaims tombstoned rows
     without disturbing tids, values, confidences or iteration order."""
 
     def _columnar(self, schema, n):
-        with using_backend(True):
-            relation = Relation(schema)
+        relation = Relation(schema)
         for i in range(n):
             relation.add_row(
                 {"A": f"a{i}", "B": f"b{i % 3}", "C": i}, {"A": 0.5}
@@ -611,9 +575,3 @@ class TestCompaction:
             relation.remove(tid)
         assert relation.compact(force=True)
         registry.check_consistency()
-
-    def test_compact_noop_for_dict_backend(self, schema):
-        relation = Relation(schema, columnar=False)
-        relation.add_row({"A": "x", "B": "y", "C": 1})
-        relation.remove(list(relation.tids())[0])
-        assert not relation.compact(force=True)

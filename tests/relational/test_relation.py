@@ -238,17 +238,14 @@ class TestSharedViewRemoval:
     shared columns."""
 
     def _columnar(self, schema):
-        from repro.relational.columns import using_backend
-
-        with using_backend(True):
-            return Relation.from_dicts(
-                schema,
-                [
-                    {"A": "a1", "B": "b1"},
-                    {"A": "a1", "B": "b2"},
-                    {"A": "a2", "B": "b1"},
-                ],
-            )
+        return Relation.from_dicts(
+            schema,
+            [
+                {"A": "a1", "B": "b1"},
+                {"A": "a1", "B": "b2"},
+                {"A": "a2", "B": "b1"},
+            ],
+        )
 
     def test_view_remove_leaves_parent_columns_alive(self, schema):
         parent = self._columnar(schema)
