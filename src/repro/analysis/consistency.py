@@ -246,21 +246,51 @@ def relation_is_clean(
                     bindex = MDBlockingIndex(
                         normalized, master, use_suffix_tree=False
                     )
-                data_side = (
-                    relation
-                    if only_tids is None
-                    else [
-                        relation.by_tid(tid)
-                        for tid in only_tids
-                        if relation.has_tid(tid)
-                    ]
-                )
-                for t in data_side:
-                    if is_null(t[rhs]):
-                        continue  # null counts as identified (Section 7)
-                    for s in bindex.cached_matches(t):
-                        if t[rhs] != s[master_attr]:
-                            return False
+                if not _md_satisfied(
+                    relation, bindex, rhs, master_attr, only_tids
+                ):
+                    return False
+    return True
+
+
+def _md_satisfied(
+    relation: Relation,
+    bindex: Any,
+    rhs: str,
+    master_attr: str,
+    only_tids: Optional[Any],
+) -> bool:
+    """Whether every tuple (of *only_tids*, when given) agrees on *rhs*
+    with every master tuple its premise matches; a null RHS counts as
+    identified (Section 7).
+
+    Premise and RHS refs are read from the ref columns up front; each
+    distinct premise key is probed once and each distinct (premise, RHS)
+    key checked once, in tuple order, stopping at the first failure —
+    the verdict and the match cache's first probes (and their order) are
+    those of the per-tuple check (:func:`repro.oracle.md_satisfied`).
+    """
+    if only_tids is None:
+        tids: Sequence[int] = relation.tids()
+    else:
+        tids = [tid for tid in only_tids if relation.has_tid(tid)]
+    keys = relation.project_refs(bindex.premise_attrs + (rhs,), tids)
+    values = relation.value_table.values
+    seen: Set[Tuple[int, ...]] = set()
+    matched: Dict[Tuple[int, ...], List[Any]] = {}
+    for tid, key in zip(tids, keys):
+        if key in seen:
+            continue
+        seen.add(key)
+        value = values[key[-1]]
+        if is_null(value):
+            continue  # null counts as identified (Section 7)
+        premise = key[:-1]
+        if premise not in matched:
+            matched[premise] = bindex.cached_matches(relation.by_tid(tid))
+        for s in matched[premise]:
+            if value != s[master_attr]:
+                return False
     return True
 
 

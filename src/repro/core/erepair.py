@@ -48,6 +48,12 @@ from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
 
 
+#: Verdict-memo markers of the batched MD pass: key not seen yet / the
+#: tuple needs no write (no witness, or its RHS already agrees).
+_UNSET = object()
+_SKIP = object()
+
+
 @dataclass
 class ERepairResult:
     """Outcome of an ``eRepair`` run."""
@@ -331,22 +337,63 @@ class _ERepair:
         return changed
 
     def md_resolve(self, rule_idx: int) -> bool:
-        """Apply an MD rule: copy master values into matching tuples."""
+        """Apply an MD rule: copy master values into matching tuples.
+
+        With the violation index the pass is batched: the drained
+        candidates' premise and RHS refs are read from the ref columns
+        up front (the body writes only the current tuple's RHS cell, so
+        no later candidate's refs move), and the witness and the
+        write-or-skip verdict once per distinct ref key, probing
+        :meth:`MDBlockingIndex.cached_find_match` with the first tuple
+        that has the premise key.  Only candidates that need a fix reach
+        the per-tuple gate.  Byte-identical to the per-tuple pass
+        (:func:`repro.oracle.md_resolve`): the match cache sees the same
+        first probes in the same order.
+        """
         rule = self.rules[rule_idx]
         assert isinstance(rule, MDRule)
         rhs, master_attr = rule.md.rhs_pair
         index = self.md_indexes[rule_idx]
-        find_match = index.cached_find_match if self.vindex is not None else index.find_match
+        relation = self.relation
         changed = False
-        for t in self._candidates(rule_idx):
+        if self.vindex is None:
+            for t in relation:
+                match = index.find_match(t)
+                if match is None or t[rhs] == match[master_attr]:
+                    continue
+                if self._may_change(t, rhs):
+                    changed |= self._set_value(
+                        t, rhs, match[master_attr], rule.name, "master"
+                    )
+            return changed
+        has_tid = relation.has_tid
+        tids = [tid for tid in self.vindex.pop_dirty_tids(rule_idx) if has_tid(tid)]
+        keys = relation.project_refs(index.premise_attrs + (rhs,), tids)
+        values = relation.value_table.values
+        by_tid = relation.by_tid
+        #: premise refs -> witness; premise + RHS refs -> the master
+        #: value to write, or _SKIP.
+        witnesses: Dict[Tuple[int, ...], Any] = {}
+        verdicts: Dict[Tuple[int, ...], Any] = {}
+        for tid, key in zip(tids, keys):
+            value = verdicts.get(key, _UNSET)
+            if value is _UNSET:
+                premise = key[:-1]
+                match = witnesses.get(premise, _UNSET)
+                if match is _UNSET:
+                    match = witnesses[premise] = index.cached_find_match(
+                        by_tid(tid)
+                    )
+                if match is None or values[key[-1]] == match[master_attr]:
+                    value = _SKIP
+                else:
+                    value = match[master_attr]
+                verdicts[key] = value
+            if value is _SKIP:
+                continue
+            t = by_tid(tid)
             if self.trace is not None:
-                self._token = (self.rounds, rule_idx, (t.tid,))
-            match = find_match(t)
-            if match is None:
-                continue
-            value = match[master_attr]
-            if t[rhs] == value:
-                continue
+                self._token = (self.rounds, rule_idx, (tid,))
             if not self._may_change(t, rhs):
                 continue
             changed |= self._set_value(t, rhs, value, rule.name, "master")

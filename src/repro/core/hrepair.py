@@ -565,17 +565,24 @@ class _HRepair:
         assert isinstance(rule, MDRule)
         rhs, master_attr = rule.md.rhs_pair
         index = self.md_indexes[rule_idx]
-        matches = index.cached_matches if self.vindex is not None else index.matches
+
+        def demand(matched: List[CTuple]) -> List[Any]:
+            # All premise-satisfying master tuples place a demand on t[E];
+            # a single match dictates a constant, conflicting matches are
+            # resolved with null (which satisfies the null-tolerant check).
+            return sorted({s[master_attr] for s in matched}, key=repr)
+
+        if self.vindex is not None:
+            # Once per distinct premise key of this pass (keys are read at
+            # each call, so class syncs writing other tuples are seen).
+            demands = index.premise_probe(self.relation, demand)
+        else:
+            demands = lambda t: demand(index.matches(t))  # noqa: E731
         changed = False
         for t in self._candidates(rule_idx):
             if self.trace is not None:
                 self._token = (self.rounds, rule_idx, (t.tid,))
-            # All premise-satisfying master tuples place a demand on t[E];
-            # a single match dictates a constant, conflicting matches are
-            # resolved with null (which satisfies the null-tolerant check).
-            demanded = sorted(
-                {s[master_attr] for s in matches(t)}, key=repr
-            )
+            demanded = demands(t)
             if not demanded:
                 continue
             current = t[rhs]

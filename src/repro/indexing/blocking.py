@@ -43,7 +43,7 @@ and the baseline of the blocking ablation benchmark.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.constraints.md import MD
 from repro.relational.attribute import is_null
@@ -54,6 +54,10 @@ from repro.indexing.suffix_tree import GeneralizedSuffixTree
 
 #: The MD match engines an index can run.
 MATCH_ENGINES = ("join", "reference")
+
+#: Memo miss marker of :meth:`MDBlockingIndex.premise_probe` (a derived
+#: value may itself be ``None``).
+_UNSET = object()
 
 
 class ExactIndex:
@@ -123,7 +127,9 @@ class MDBlockingIndex:
         self._eq_clauses = [c for c in md.premise if c.is_equality]
         self._eq_attrs = [c.attr for c in self._eq_clauses]
         self._sim_clauses = [c for c in md.premise if not c.is_equality]
-        self._premise_attrs = tuple(dict.fromkeys(c.attr for c in md.premise))
+        #: Data-side premise attributes, in clause order (deduplicated):
+        #: the projection the match cache is keyed by.
+        self.premise_attrs = tuple(dict.fromkeys(c.attr for c in md.premise))
         self._match_cache: Dict[Tuple[Any, ...], List[CTuple]] = {}
         #: Retrieval-effort counters (the match-engine benchmark reads
         #: these): premise lookups, master tuples examined post-filter,
@@ -344,7 +350,7 @@ class MDBlockingIndex:
         projection instead of once per tuple per resolution round.
         Callers must not mutate the returned list.
         """
-        key = t.project(self._premise_attrs)
+        key = t.project(self.premise_attrs)
         hit = self._match_cache.get(key)
         if hit is None:
             hit = self._match_cache[key] = self.matches(t)
@@ -353,6 +359,39 @@ class MDBlockingIndex:
     def cached_find_match(self, t: CTuple) -> Optional[CTuple]:
         """Memoized :meth:`find_match` (same deterministic witness)."""
         return self._witness(self.cached_matches(t))
+
+    def premise_probe(
+        self, relation: Relation, derive: Callable[[List[CTuple]], Any]
+    ) -> Callable[[CTuple], Any]:
+        """``t -> derive(cached_matches(t))`` for one pass over
+        *relation*'s tuples, derived once per distinct premise key.
+
+        The key is the tuple of *t*'s interned premise refs, read
+        straight from the ref columns when the probe is called — so it
+        stays right whatever the pass writes between calls.  Equal refs
+        are equal values, so the first tuple with a key calls
+        :meth:`cached_matches` and later ones reuse its derived value:
+        the value-keyed match cache gains exactly the entries, in the
+        order, and ``stats`` move exactly as under the per-tuple path
+        (:func:`repro.oracle.premise_probe`, the oracle).  The memo
+        lives as long as the returned callable: build one per pass.
+        """
+        store = relation.column_store
+        positions = [store.index_of[a] for a in self.premise_attrs]
+        cached = self.cached_matches
+        memo: Dict[Tuple[int, ...], Any] = {}
+        unset = _UNSET
+
+        def probe(t: CTuple) -> Any:
+            cols = t._store.values
+            row = t._row
+            key = tuple([cols[i].data[row] for i in positions])
+            hit = memo.get(key, unset)
+            if hit is unset:
+                hit = memo[key] = derive(cached(t))
+            return hit
+
+        return probe
 
     # ------------------------------------------------------------------
     # Snapshot support (session persistence re-warms the cache)

@@ -28,8 +28,13 @@ from repro.oracle.kernels import (
     apply_majority,
     bulk_index,
     cfd_member_tids,
+    copy_rows,
     encode_cells,
     init_asserted,
+    md_resolve,
+    md_satisfied,
+    premise_probe,
+    rebuild_cell_costs,
     resolve_variable,
     scan_violations,
     value_groups,
@@ -40,8 +45,13 @@ __all__ = [
     "apply_majority",
     "bulk_index",
     "cfd_member_tids",
+    "copy_rows",
     "encode_cells",
     "init_asserted",
+    "md_resolve",
+    "md_satisfied",
+    "premise_probe",
+    "rebuild_cell_costs",
     "reference_kernels",
     "resolve_variable",
     "scan_violations",
@@ -54,11 +64,19 @@ def _seams():
     from repro.core.crepair import _CRepair
     from repro.core.erepair import _ERepair
     from repro.core.hrepair import _HRepair
+    from repro.indexing.blocking import MDBlockingIndex
     from repro.indexing.group_store import CFDGroupStore, MDGroupStore
     from repro.matching.simjoin import QGramIndex
     from repro.pipeline import payload
+    from repro.pipeline.session import CleaningSession
+    from repro.relational.relation import Relation
 
     return [
+        (Relation, "_copy_rows", copy_rows),
+        (_ERepair, "md_resolve", md_resolve),
+        (consistency, "_md_satisfied", md_satisfied),
+        (MDBlockingIndex, "premise_probe", premise_probe),
+        (CleaningSession, "_rebuild_cell_costs", rebuild_cell_costs),
         (consistency, "_scan_violations", scan_violations),
         (CFDGroupStore, "bulk_index", bulk_index),
         (MDGroupStore, "bulk_index", bulk_index),

@@ -8,7 +8,7 @@ in :mod:`repro.oracle`).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.constraints.cfd import Violation
 from repro.constraints.rules import ConstantCFDRule, VariableCFDRule
@@ -17,8 +17,100 @@ from repro.core.hrepair import _NULL, _const
 from repro.indexing.group_store import Key
 from repro.matching.simjoin import ValueGroup, _group_by_value
 from repro.relational.attribute import is_null
+from repro.relational.columns import ColumnStore, ColumnTuple
 from repro.relational.relation import Relation
 from repro.relational.tuples import CTuple
+
+
+# ----------------------------------------------------------------------
+# Relation copy
+# ----------------------------------------------------------------------
+def copy_rows(self: Relation, wanted: Optional[Set[int]]) -> Relation:
+    """The row-by-row copy behind ``clone`` / ``restrict(copy=True)``:
+    one ``adopt_row`` per kept tuple, in insertion order."""
+    twin = Relation(self.schema)
+    source = self._columns
+    store = twin._columns = ColumnStore(self.schema, source.table)
+    make = ColumnTuple.make
+    for tid, t in self._tuples.items():
+        if wanted is None or tid in wanted:
+            row = store.adopt_row(tid, source, t._row)
+            twin._tuples[tid] = make(store, row, tid)
+    twin._next_tid = self._next_tid
+    twin._retired = set(self._retired)
+    return twin
+
+
+# ----------------------------------------------------------------------
+# Session cost map
+# ----------------------------------------------------------------------
+def rebuild_cell_costs(self: Any) -> None:
+    """``CleaningSession._rebuild_cell_costs`` cell by cell: every base
+    cell against its working value, in row-scan order."""
+    costs: Dict[Tuple[int, str], float] = {}
+    names = self.base.schema.names
+    for t in self.base:
+        r = self.working.by_tid(t.tid)
+        for attr in names:
+            if t[attr] != r[attr]:
+                costs[(t.tid, attr)] = cell_cost(t[attr], r[attr], t.conf(attr))
+    self._cell_costs = costs
+
+
+# ----------------------------------------------------------------------
+# MD probes: the per-tuple passes
+# ----------------------------------------------------------------------
+def md_resolve(self: Any, rule_idx: int) -> bool:
+    """eRepair's per-tuple MD pass: every candidate probes the index."""
+    rule = self.rules[rule_idx]
+    rhs, master_attr = rule.md.rhs_pair
+    index = self.md_indexes[rule_idx]
+    find_match = index.cached_find_match if self.vindex is not None else index.find_match
+    changed = False
+    for t in self._candidates(rule_idx):
+        if self.trace is not None:
+            self._token = (self.rounds, rule_idx, (t.tid,))
+        match = find_match(t)
+        if match is None:
+            continue
+        value = match[master_attr]
+        if t[rhs] == value:
+            continue
+        if not self._may_change(t, rhs):
+            continue
+        changed |= self._set_value(t, rhs, value, rule.name, "master")
+    return changed
+
+
+def md_satisfied(
+    relation: Relation,
+    bindex: Any,
+    rhs: str,
+    master_attr: str,
+    only_tids: Optional[Any],
+) -> bool:
+    """The per-tuple MD satisfaction check of ``relation_is_clean``."""
+    data_side = (
+        relation
+        if only_tids is None
+        else [relation.by_tid(tid) for tid in only_tids if relation.has_tid(tid)]
+    )
+    for t in data_side:
+        if is_null(t[rhs]):
+            continue  # null counts as identified (Section 7)
+        for s in bindex.cached_matches(t):
+            if t[rhs] != s[master_attr]:
+                return False
+    return True
+
+
+def premise_probe(
+    self: Any, relation: Relation, derive: Callable[[List[CTuple]], Any]
+) -> Callable[[CTuple], Any]:
+    """The per-tuple MD probe: every call projects *t*, goes to the
+    value-keyed match cache and re-derives."""
+    cached = self.cached_matches
+    return lambda t: derive(cached(t))
 
 
 # ----------------------------------------------------------------------

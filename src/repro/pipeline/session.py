@@ -37,7 +37,14 @@ edits, choosing between two exact strategies:
   deltas whose groups embed premise fixes): the edited base is
   re-cleaned from scratch *inside the session*, which still skips the
   dominant costs of a cold run — the master-side blocking indexes and
-  the MD match cache persist, so only the data-side phases re-run.
+  the MD match cache persist, and the session-owned base is neither
+  copied again nor re-indexed, so only the working side is rebuilt.
+
+The base-side group stores (the variable-CFD groupings the closure of
+a scoped apply reads) are built by the first apply that reaches the
+scoped pre-processing, not by ``clean()``: a one-shot clean never reads
+them.  From then on the base relation's observers maintain them, across
+full replays too.
 
 Both strategies leave the relation in exactly the state a full
 pipeline run over the edited base produces — property-tested in
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.consistency import assert_consistent, relation_is_clean
@@ -88,6 +96,13 @@ class ApplyResult:
     replays: int
     full_reclean: bool = False
     timings: Dict[str, float] = field(default_factory=dict)
+    #: Why the apply took its path: ``scoped``, or ``full:<reason>`` —
+    #: ``insert``, ``no_index``, ``premise_unsafe`` (the perturbed-cell
+    #: closure reached a variable-CFD premise or an evolved group),
+    #: ``escape`` (a scoped replay wrote outside its closure); the
+    #: sharded session adds ``replan``, ``shard_fallback`` and
+    #: ``collision``.
+    decision: str = "scoped"
 
     @property
     def total_time(self) -> float:
@@ -96,7 +111,11 @@ class ApplyResult:
 
     def summary(self) -> str:
         """Human-readable apply summary."""
-        mode = "full re-clean" if self.full_reclean else f"{self.replays} replay(s)"
+        mode = (
+            f"full re-clean, {self.decision}"
+            if self.full_reclean
+            else f"{self.replays} replay(s)"
+        )
         return (
             f"apply: {self.fix_log.summary()}; affected={self.affected} tuples"
             f"/{self.affected_cells} cells ({mode}); clean={self.clean}; "
@@ -292,6 +311,9 @@ class CleaningSession:
         #: Per-cell contributions to cost(Dr, D) (nonzero entries only);
         #: maintained incrementally by apply().
         self._cell_costs: Dict[Cell, float] = {}
+        #: (old value ref, new value ref, confidence) -> cell cost; refs
+        #: of the process-wide value table every relation interns into.
+        self._cost_memo: Dict[Tuple[int, int, Optional[float]], float] = {}
         self._last_clean = False
 
     # ------------------------------------------------------------------
@@ -312,12 +334,15 @@ class CleaningSession:
             )
 
     def _teardown_relation_state(self) -> None:
-        if self.registry is not None:
-            self.registry.detach()
-            self.registry = None
+        self._teardown_working_state()
         if self.base_registry is not None:
             self.base_registry.detach()
             self.base_registry = None
+
+    def _teardown_working_state(self) -> None:
+        if self.registry is not None:
+            self.registry.detach()
+            self.registry = None
         self._var_stores_by_attr = {}
         self._var_store_pairs = []
         self._check_index = None
@@ -337,6 +362,14 @@ class CleaningSession:
         """
         self._teardown_relation_state()
         self.base = relation.clone()
+        return self._reclean()
+
+    def _reclean(self) -> CleaningResult:
+        """Clean the session-owned base from scratch into a fresh working
+        copy.  Only the working side is rebuilt: the base is not copied,
+        and its stores, when built, stay attached."""
+        assert self.base is not None
+        self._teardown_working_state()
         self.working = self.base.clone()
         self.fix_log = FixLog()
         timings: Dict[str, float] = {}
@@ -361,31 +394,17 @@ class CleaningSession:
         )
 
     def _attach_relation_state(self, timings: Dict[str, float]) -> None:
-        """Build the derived per-relation state over ``self.base`` /
-        ``self.working``: the shared group-store registries, the
-        satisfaction-check index, trace-time group-key tracking and the
-        master-side MD indexes.  All of it is a pure function of the two
-        relations and the bound rules, which is why a snapshot restore
-        (:mod:`repro.pipeline.snapshot`) rebuilds it here instead of
-        persisting it."""
+        """Build the derived state over ``self.working``: the shared
+        group-store registry, the satisfaction-check index, trace-time
+        group-key tracking and the master-side MD indexes.  All of it is
+        a pure function of the relation and the bound rules, which is
+        why a snapshot restore (:mod:`repro.pipeline.snapshot`) rebuilds
+        it here instead of persisting it.  The base-side stores are
+        built later, by :meth:`_ensure_base_stores`."""
         if self.config.use_violation_index:
             started = time.perf_counter()
             self.registry = GroupStoreRegistry(self.working)
             self.registry.ensure_rules(self.rules)
-            self.base_registry = GroupStoreRegistry(self.base)
-            variable_rules = [
-                rule
-                for rule in self.rules
-                if getattr(rule, "cfd", None) is not None and rule.cfd.is_variable
-            ]
-            self.base_registry.ensure_rules(variable_rules)
-            for store in self.registry.variable_cfd_stores():
-                base_store = self.base_registry.cfd_store(store.cfd)
-                self._var_store_pairs.append((store, base_store))
-                for attr in store.scope_attrs():
-                    self._var_stores_by_attr.setdefault(attr, []).append(
-                        (store, base_store)
-                    )
             if self.cfds:
                 # A maintained index for satisfaction checks: reads the
                 # live shared stores, so D ⊨ Σ verification never rescans.
@@ -400,6 +419,28 @@ class CleaningSession:
             timings["setup"] = time.perf_counter() - started
 
         self._ensure_md_indexes()
+
+    def _ensure_base_stores(self) -> None:
+        """The variable-CFD stores of the base, built on first use and
+        then kept (observers maintain them under every base edit), and
+        their pairing with the current working stores."""
+        assert self.base is not None and self.registry is not None
+        if self.base_registry is None:
+            self.base_registry = GroupStoreRegistry(self.base)
+            self.base_registry.ensure_rules(
+                rule
+                for rule in self.rules
+                if getattr(rule, "cfd", None) is not None and rule.cfd.is_variable
+            )
+        if self._var_store_pairs:
+            return
+        for store in self.registry.variable_cfd_stores():
+            base_store = self.base_registry.cfd_store(store.cfd)
+            self._var_store_pairs.append((store, base_store))
+            for attr in store.scope_attrs():
+                self._var_stores_by_attr.setdefault(attr, []).append(
+                    (store, base_store)
+                )
 
     def _adopt_restored_state(
         self,
@@ -464,15 +505,37 @@ class CleaningSession:
 
     def _rebuild_cell_costs(self) -> None:
         """Full pass of the Section 3.1 cost model, kept per cell so
-        apply() can maintain the total under deltas."""
+        apply() can maintain the total under deltas.
+
+        Ref rows of base and working are gathered column at a time and
+        compared whole; only rows that differ are walked cell by cell, in
+        the (tuple, attribute) order the float total is summed in — the
+        map equals the per-cell loop's (:func:`repro.oracle.rebuild_cell_costs`).
+        Cell costs are memoised by ``(old ref, new ref, confidence)``
+        for the session's lifetime: a full replay mostly re-derives the
+        previous run's fixes."""
         assert self.base is not None and self.working is not None
+        base = self.base
+        working = self.working
+        names = base.schema.names
+        tids = base.tids()
+        old_rows = base.project_refs(names)
+        new_rows = working.project_refs(names, tids)
+        old_values = base.value_table.values
+        new_values = working.value_table.values
+        memo = self._cost_memo
         costs: Dict[Cell, float] = {}
-        names = self.base.schema.names
-        for t in self.base:
-            r = self.working.by_tid(t.tid)
-            for attr in names:
-                if t[attr] != r[attr]:
-                    costs[(t.tid, attr)] = cell_cost(t[attr], r[attr], t.conf(attr))
+        for i in compress(count(), map(tuple.__ne__, old_rows, new_rows)):
+            tid = tids[i]
+            for attr, old, new in zip(names, old_rows[i], new_rows[i]):
+                if old != new and old_values[old] != new_values[new]:
+                    key = (old, new, base.by_tid(tid).conf(attr))
+                    cost = memo.get(key)
+                    if cost is None:
+                        cost = memo[key] = cell_cost(
+                            old_values[old], new_values[new], key[2]
+                        )
+                    costs[(tid, attr)] = cost
         self._cell_costs = costs
 
     def _run_phases(
@@ -623,17 +686,17 @@ class CleaningSession:
         timings: Dict[str, float] = {}
         started = time.perf_counter()
 
-        if (
-            not self.config.use_violation_index
-            or self.registry is None
+        if not self.config.use_violation_index or self.registry is None:
+            changeset.apply_to(self.base)
+            return self._full_replay(timings, "full:no_index")
+        if any(isinstance(op, Insert) for op in changeset.ops):
             # Inserts change group composition outright — the scoped
             # locality argument does not cover them, so skip the delta
             # pre-processing the full replay would discard anyway.
-            or any(isinstance(op, Insert) for op in changeset.ops)
-        ):
             changeset.apply_to(self.base)
-            return self._full_replay(timings)
+            return self._full_replay(timings, "full:insert")
 
+        self._ensure_base_stores()
         pre_apply_log = self.fix_log
         fixed_cells: Set[Cell] = {fix.cell for fix in pre_apply_log}
         schema_attrs = tuple(self.working.schema.names)
@@ -676,7 +739,7 @@ class CleaningSession:
             unsafe = not safe
         timings["delta"] = time.perf_counter() - started
         if unsafe:
-            return self._full_replay(timings)
+            return self._full_replay(timings, "full:premise_unsafe")
 
         c_result = e_result = h_result = None
         if perturbed:
@@ -700,7 +763,7 @@ class CleaningSession:
                 # break, provision to an out-of-scope tuple): the
                 # locality argument is void — replay everything.
                 self.fix_log = log
-                return self._full_replay(timings)
+                return self._full_replay(timings, "full:escape")
             self.fix_log = log
 
         started = time.perf_counter()
@@ -744,6 +807,7 @@ class CleaningSession:
             affected_cells=len(perturbed),
             replays=1 if perturbed else 0,
             timings=timings,
+            decision="scoped",
         )
 
     def apply_many(
@@ -766,15 +830,17 @@ class CleaningSession:
         """
         return self.apply(Changeset.concat(changesets))
 
-    def _full_replay(self, timings: Dict[str, float]) -> ApplyResult:
+    def _full_replay(
+        self, timings: Dict[str, float], decision: str
+    ) -> ApplyResult:
         """Exact fallback: re-clean the edited base inside the session.
 
         Equivalent to a from-scratch ``clean()`` by construction, but the
         master-side blocking indexes and match cache stay warm — the
-        dominant cost of a cold run.
+        dominant cost of a cold run — and the base is neither copied nor
+        re-indexed (:meth:`_reclean`).
         """
-        assert self.base is not None
-        result = self.clean(self.base)
+        result = self._reclean()
         merged = dict(timings)
         for key, value in result.timings.items():
             merged[key] = merged.get(key, 0.0) + value
@@ -791,6 +857,7 @@ class CleaningSession:
             replays=0,
             full_reclean=True,
             timings=merged,
+            decision=decision,
         )
 
     def _live_tids(self) -> Set[int]:

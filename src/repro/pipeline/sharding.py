@@ -2059,6 +2059,7 @@ class ShardedCleaningSession:
             replays=0,
             full_reclean=True,
             timings=timings,
+            decision="full:replan",
         )
 
     def _finish_scoped_apply(
@@ -2122,6 +2123,7 @@ class ShardedCleaningSession:
             affected_cells=len(perturbed),
             replays=sum(o.replays for o in outcomes),
             timings=timings,
+            decision="scoped",
         )
 
     def _finish_mixed_apply(
@@ -2197,6 +2199,7 @@ class ShardedCleaningSession:
                 replays=0,
                 full_reclean=True,
                 timings=timings,
+                decision="full:collision",
             )
 
         for op in changeset.ops:
@@ -2231,6 +2234,7 @@ class ShardedCleaningSession:
             replays=0,
             full_reclean=True,
             timings=timings,
+            decision="full:shard_fallback",
         )
 
     def _drop_dead_tid(self, tid: int) -> None:

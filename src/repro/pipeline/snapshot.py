@@ -346,7 +346,7 @@ def _cache_entries(session, scoped: bool) -> Dict[str, List[Tuple]]:
             continue
         entries = index.cache_entries()
         if scoped:
-            attrs = index._premise_attrs
+            attrs = index.premise_attrs
             allowed = allowed_by_attrs.get(attrs)
             if allowed is None:  # one scan per distinct premise projection
                 allowed = allowed_by_attrs[attrs] = (

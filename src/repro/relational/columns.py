@@ -29,7 +29,8 @@ Layout of one :class:`ColumnStore` (one per columnar relation)::
 Rows are append-only; ``remove()`` tombstones (no compaction), which is
 what keeps the delete-observer contract — values stay readable after
 removal — and the tid→row map stable.  ``clone()``/``restrict(copy=True)``
-rebuild compactly by copying refs, never re-interning values.
+rebuild compactly through :meth:`ColumnStore.gather`: one ``array`` copy
+(or gather over the live rows) per column, never re-interning values.
 
 :class:`ColumnTuple` is a thin row-view subclassing
 :class:`~repro.relational.tuples.CTuple`, so the entire existing API —
@@ -49,6 +50,7 @@ to check that every kernel is byte-identical to its reference loop.
 from __future__ import annotations
 
 from array import array
+from itertools import compress, count
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 try:  # numpy accelerates the repair kernels; every caller falls back to
@@ -281,6 +283,15 @@ class Bitmap:
     def copy(self) -> "Bitmap":
         return Bitmap(bytearray(self.bits), self.n)
 
+    @classmethod
+    def from_flags(cls, flags: Iterator[bool], n: int) -> "Bitmap":
+        """An *n*-bit map with bit ``i`` set where ``flags[i]`` is true
+        (the Python loop runs only over the set bits)."""
+        bits = bytearray((n + 7) >> 3)
+        for i in compress(count(), flags):
+            bits[i >> 3] |= 1 << (i & 7)
+        return cls(bits, n)
+
 
 # ----------------------------------------------------------------------
 # The per-relation store
@@ -363,6 +374,43 @@ class ColumnStore:
             vrefs = [ref(values[r]) for r in vrefs]
             crefs = [ref(values[r]) for r in crefs]
         return self.append_refs(tid, vrefs, crefs)
+
+    def gather(
+        self, tids: Sequence[int], rows: Optional[Sequence[int]]
+    ) -> "ColumnStore":
+        """A dense, unshared copy whose row ``i`` is *tids[i]*, read from
+        row ``rows[i]`` here (``rows is None``: row ``i``, the contiguous
+        case).
+
+        Column at a time: each ref and conf column is one ``array`` copy
+        (contiguous) or gather, at the source width; null flags are
+        copied, or gathered where a column has any; ``row_tids`` and
+        ``row_of`` are built densely.  Values are never re-interned (the
+        copy shares this store's table).
+        """
+        twin = ColumnStore(self.schema, self.table)
+        n = len(tids)
+
+        def take(col: IntColumn) -> IntColumn:
+            data = col.data
+            if rows is None:
+                return IntColumn(array(data.typecode, data))
+            return IntColumn(array(data.typecode, map(data.__getitem__, rows)))
+
+        def take_bits(bitmap: Bitmap) -> Bitmap:
+            if rows is None:
+                return bitmap.copy()
+            if not any(bitmap.bits):
+                return Bitmap(bytearray((n + 7) >> 3), n)
+            return Bitmap.from_flags(map(bitmap.get, rows), n)
+
+        twin.values = [take(col) for col in self.values]
+        twin.confs = [take(col) for col in self.confs]
+        twin.nulls = [take_bits(bitmap) for bitmap in self.nulls]
+        twin.dead = Bitmap(bytearray((n + 7) >> 3), n)
+        twin.row_tids = list(tids)
+        twin.row_of = dict(zip(twin.row_tids, range(n)))
+        return twin
 
     def kill(self, tid: int) -> None:
         """Tombstone *tid*'s row: values stay readable (delete observers

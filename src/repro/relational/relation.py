@@ -564,14 +564,23 @@ class Relation:
             return list(data)
         return [data[row] for row in rows]
 
-    def project_refs(self, attrs: Sequence[str]) -> List[Tuple[int, ...]]:
-        """Ref tuples over *attrs*, aligned with :meth:`tids`."""
+    def project_refs(
+        self, attrs: Sequence[str], tids: Optional[Sequence[int]] = None
+    ) -> List[Tuple[int, ...]]:
+        """Ref tuples over *attrs*, aligned with :meth:`tids` — or with the
+        given tid sequence (rows resolve as in :meth:`value_refs`)."""
         self.schema.check_attrs(attrs)
         cols = self._value_columns(attrs)
-        tids, rows = self._live_rows()
-        if rows is None:
-            return list(zip(*cols)) if cols else [() for _ in tids]
-        return [tuple(col[row] for col in cols) for row in rows]
+        if tids is None:
+            tids, rows = self._live_rows()
+            if rows is None:
+                return list(zip(*cols)) if cols else [() for _ in tids]
+        else:
+            tuples = self._tuples
+            rows = [tuples[tid]._row for tid in tids]
+        if not cols:
+            return [() for _ in rows]
+        return list(zip(*[list(map(col.__getitem__, rows)) for col in cols]))
 
     def rows_where(self, attr: str, value: Any) -> List[CTuple]:
         """The resident tuples with ``t[attr] == value`` (insertion order).
@@ -682,20 +691,9 @@ class Relation:
         """A deep copy sharing the schema but owning fresh tuples.
 
         Tids are preserved so fixes can be traced back to original tuples.
+        The all-tids case of :meth:`restrict`.
         """
-        twin = Relation(self.schema)
-        # Compact rebuild: copy refs row by row (values are shared through
-        # the process-wide table, never re-interned) and hand each tid a
-        # fresh row-view.
-        source = self._columns
-        store = twin._columns
-        make = ColumnTuple.make
-        for tid, t in self._tuples.items():
-            row = store.adopt_row(tid, source, t._row)
-            twin._tuples[tid] = make(store, row, tid)
-        twin._next_tid = self._next_tid
-        twin._retired = set(self._retired)
-        return twin
+        return self._copy_rows(None)
 
     def restrict(self, tids: Iterable[int], copy: bool = True) -> "Relation":
         """A clone containing only the tuples named by *tids*.
@@ -721,23 +719,36 @@ class Relation:
                 f"relation {self.schema.name!r} has no tuple "
                 f"#{min(missing)} to restrict to"
             )
-        twin = Relation(self.schema)
         if copy:
-            source = self._columns
-            store = twin._columns = ColumnStore(self.schema, source.table)
-            make = ColumnTuple.make
-            for tid, t in self._tuples.items():
-                if tid in wanted:
-                    row = store.adopt_row(tid, source, t._row)
-                    twin._tuples[tid] = make(store, row, tid)
+            return self._copy_rows(wanted)
+        twin = Relation(self.schema)
+        twin._columns = self._columns  # shared columns, shared views
+        # Mark the store shared: from now on neither owner may
+        # tombstone or compact rows the other might still hold.
+        self._columns.shared = True
+        for tid, t in self._tuples.items():
+            if tid in wanted:
+                twin._tuples[tid] = t
+        twin._next_tid = self._next_tid
+        twin._retired = set(self._retired)
+        return twin
+
+    def _copy_rows(self, wanted: Optional[Set[int]]) -> "Relation":
+        """The copy behind :meth:`clone` (``wanted is None``: every
+        tuple) and ``restrict(copy=True)``: a column gather
+        (:meth:`ColumnStore.gather`) into a dense private store, then one
+        fresh row-view per tid.  Values are shared through the table,
+        never re-interned; tid order and tid bookkeeping are kept."""
+        if wanted is None:
+            tids, rows = self._live_rows()
         else:
-            twin._columns = self._columns  # shared columns, shared views
-            # Mark the store shared: from now on neither owner may
-            # tombstone or compact rows the other might still hold.
-            self._columns.shared = True
-            for tid, t in self._tuples.items():
-                if tid in wanted:
-                    twin._tuples[tid] = t
+            tuples = self._tuples
+            tids = [tid for tid in tuples if tid in wanted]
+            rows = [tuples[tid]._row for tid in tids]
+        twin = Relation(self.schema)
+        store = twin._columns = self._columns.gather(tids, rows)
+        make = ColumnTuple.make
+        twin._tuples = {tid: make(store, row, tid) for row, tid in enumerate(tids)}
         twin._next_tid = self._next_tid
         twin._retired = set(self._retired)
         return twin

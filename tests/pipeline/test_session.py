@@ -233,3 +233,125 @@ class TestUniCleanWrapper:
         second = cleaner.clean(build_relation(DIRTY))
         assert dict(cleaner._md_indexes) == cached
         assert [f.cell for f in first.fix_log] == [f.cell for f in second.fix_log]
+
+
+class TestBaseSideStores:
+    def test_one_shot_clean_builds_no_base_stores(self, session):
+        session.clean(build_relation(DIRTY))
+        assert session.base_registry is None
+        assert session.registry is not None
+
+    def test_first_apply_builds_them_and_replays_keep_them(self, session):
+        session.clean(build_relation(DIRTY))
+        base = session.base
+        session.apply(Changeset().edit(4, "B", "b9"))
+        registry = session.base_registry
+        assert registry is not None
+        registry.check_consistency(session.base)
+        out = session.apply(Changeset().insert({"K": "k2", "A": "a2", "B": "b2"}))
+        assert out.decision == "full:insert"
+        # The full replay re-cleans the session-owned base in place: no
+        # second copy, and its stores stay attached and coherent.
+        assert session.base is base
+        assert session.base_registry is registry
+        registry.check_consistency(session.base)
+        assert state(out.repaired) == scratch_state(
+            session.base, UniCleanConfig(eta=0.8)
+        )
+
+    def test_clean_drops_the_base_stores(self, session):
+        session.clean(build_relation(DIRTY))
+        session.apply(Changeset().edit(4, "B", "b9"))
+        assert session.base_registry is not None
+        session.clean(build_relation(DIRTY))
+        assert session.base_registry is None
+
+
+#: Rules whose only premise attribute (K) is never a repair target, so
+#: A/B edits have a local closure and take the scoped path.
+SAFE_CFDS = [
+    CFD(SCHEMA, ["K"], ["A"], name="s_fd_ka"),
+    CFD(SCHEMA, ["K"], ["B"], name="s_fd_kb"),
+    CFD(SCHEMA, ["K"], ["B"], {"K": "k1", "B": "b1"}, name="s_const_kb"),
+]
+
+#: ApplyResult's fields before ``decision`` was added; they keep their
+#: names, order and meaning.
+APPLY_RESULT_FIELDS = [
+    "repaired", "fix_log", "crepair_result", "erepair_result",
+    "hrepair_result", "cost", "clean", "affected", "affected_cells",
+    "replays", "full_reclean", "timings",
+]
+
+
+class TestApplyDecision:
+    def test_fields(self):
+        from dataclasses import fields
+
+        from repro.pipeline.session import ApplyResult
+
+        assert [f.name for f in fields(ApplyResult)] == APPLY_RESULT_FIELDS + [
+            "decision"
+        ]
+
+    def check_full(self, session, out, decision):
+        """A full replay reports *decision* and otherwise exactly what it
+        reported before: a from-scratch clean of the edited base."""
+        config = session.config
+        reference = UniClean(
+            cfds=session.cfds, mds=session.mds, master=session.master,
+            config=config,
+        ).clean(session.base)
+        assert out.decision == decision
+        assert out.full_reclean and out.replays == 0
+        assert out.affected == len(out.repaired)
+        assert out.affected_cells == len(out.repaired) * len(SCHEMA.names)
+        assert state(out.repaired) == state(reference.repaired)
+        assert [f.cell for f in out.fix_log] == [f.cell for f in reference.fix_log]
+        assert out.cost == reference.cost
+        assert out.clean == reference.clean
+
+    def test_scoped(self):
+        session = CleaningSession(
+            cfds=SAFE_CFDS, mds=MDS, master=build_master(),
+            config=UniCleanConfig(eta=0.8),
+        )
+        session.clean(build_relation(DIRTY))
+        out = session.apply(Changeset().edit(4, "B", "b9"))
+        assert out.decision == "scoped"
+        assert not out.full_reclean and out.replays == 1
+        assert out.affected_cells == len(session.last_perturbed)
+
+    def test_insert(self, session):
+        session.clean(build_relation(DIRTY))
+        out = session.apply(Changeset().insert({"K": "k1", "A": "a1", "B": "b1"}))
+        self.check_full(session, out, "full:insert")
+
+    def test_no_index(self):
+        session = CleaningSession(
+            cfds=CFDS, mds=MDS, master=build_master(),
+            config=UniCleanConfig(eta=0.8, use_violation_index=False),
+        )
+        session.clean(build_relation(DIRTY))
+        out = session.apply(Changeset().edit(4, "B", "b9"))
+        self.check_full(session, out, "full:no_index")
+
+    def test_premise_unsafe(self, session):
+        session.clean(build_relation(DIRTY))
+        out = session.apply(Changeset().edit(0, "K", "k2"))  # fd_ka premise
+        self.check_full(session, out, "full:premise_unsafe")
+
+    def test_escape(self):
+        # Editing t4's B re-runs its K-group, whose scoped replay then
+        # writes a cell outside the perturbed closure.
+        session = CleaningSession(
+            cfds=SAFE_CFDS, mds=MDS, master=build_master(),
+            config=UniCleanConfig(eta=0.8),
+        )
+        session.clean(build_relation([
+            ("k3", "b1", "b1", 0.0, 0.5, 0.5), ("k2", "b1", "b1", 1.0, 1.0, 1.0),
+            ("k3", "b2", "a2", 0.0, 1.0, 1.0), ("k3", "a1", "b2", 0.5, 0.0, 0.0),
+            ("k2", "b1", "b1", 1.0, 1.0, 0.5), ("k3", "a1", "a2", 0.5, 0.0, 1.0),
+        ]))
+        out = session.apply(Changeset().edit(4, "B", "b2"))
+        self.check_full(session, out, "full:escape")

@@ -213,6 +213,35 @@ class TestShardedCleaningSession:
         assert fingerprint(o1.fix_log) == fingerprint(o2.fix_log)
         assert full_state(o1.repaired) == full_state(o2.repaired)
 
+    def test_apply_decisions(self, dataset):
+        """Each sharded result path names itself in ``decision``; the
+        other fields match the unsharded session's."""
+        reference, sharded = self.make_pair(dataset, n_workers=1, n_shards=4)
+        reference.clean(dataset.dirty)
+        sharded.clean(dataset.dirty)
+        tids = list(reference.base.tids())
+        donor = reference.base.by_tid(tids[30])
+        batches = [
+            (Changeset().edit(tids[3], "score", "77"), "scoped", "scoped"),
+            # A variable-CFD premise edit that a shard's own session
+            # cannot keep local: it re-cleans inside the shard.
+            (Changeset().edit(tids[5], "city", donor["city"]),
+             "full:premise_unsafe", "full:shard_fallback"),
+            # An edit that can move a tuple between shards: a re-plan.
+            (Changeset().edit(tids[7], "zip", "99999"),
+             "full:premise_unsafe", "full:replan"),
+            (Changeset().insert(reference.base.by_tid(tids[9]).as_dict()),
+             "full:insert", "full:replan"),
+        ]
+        for changeset, unsharded, expected in batches:
+            o1 = reference.apply(Changeset(list(changeset.ops)))
+            o2 = sharded.apply(Changeset(list(changeset.ops)))
+            assert (o1.decision, o2.decision) == (unsharded, expected)
+            assert o2.full_reclean == (expected != "scoped")
+            assert full_state(o1.repaired) == full_state(o2.repaired)
+            assert fingerprint(o1.fix_log) == fingerprint(o2.fix_log)
+            assert o1.clean == o2.clean
+
     def test_collision_is_detected_and_exact(self):
         schema = Schema("C", ["A", "K", "B", "name"])
         cfds = [

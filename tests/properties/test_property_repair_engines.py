@@ -63,7 +63,7 @@ def _observables(session, result):
     return {
         "fix_log": _fingerprint(result.fix_log),
         "cost": result.cost,
-        "cell_costs": dict(session._cell_costs),
+        "cell_costs": list(session._cell_costs.items()),
         "clean": result.clean,
         "state": _full_state(result.repaired),
         "traces": dict(session.last_traces),

@@ -246,3 +246,119 @@ class TestScopedReplay:
             ).clean(session.base)
             assert state(out.repaired) == state(reference.repaired)
             assert out.clean == reference.clean
+
+
+# ----------------------------------------------------------------------
+# Base-side stores: built on the first scoped apply, kept across replays
+# ----------------------------------------------------------------------
+#: One step of a mixed stream: scoped edits (A/B under SAFE_CFDS),
+#: premise edits (K: a full replay), inserts, deletes, and a mid-stream
+#: save + restore into a fresh session.
+mixed_steps = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("edit"),
+            st.integers(min_value=0, max_value=9),
+            st.sampled_from(["A", "B", "A", "B", "K"]),
+            st.sampled_from(["k1", "k2", "a1", "a2", "b1", "b2", NULL]),
+        ),
+        st.tuples(st.just("insert"), keys, values, values),
+        st.tuples(st.just("delete"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.just("save")),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _fix_fingerprint(log):
+    return [
+        (f.kind.value, f.rule_name, f.tid, f.attr, repr(f.old_value),
+         repr(f.new_value), repr(f.source))
+        for f in log
+    ]
+
+
+def _mixed_changeset(relation: Relation, step) -> Changeset:
+    live = list(relation.tids())
+    if step[0] == "insert":
+        _tag, k, a, b = step
+        return Changeset().insert({"K": k, "A": a, "B": b}, {"K": 0.5})
+    if not live:
+        return Changeset()
+    if step[0] == "delete":
+        return Changeset().delete(live[step[1] % len(live)])
+    _tag, raw, attr, value = step
+    return Changeset().edit(live[raw % len(live)], attr, value)
+
+
+def check_base_store_stream(data, script, cfds):
+    import tempfile
+
+    master = build_master()
+    session = CleaningSession(cfds=cfds, mds=MDS, master=master, config=CONFIGS[0])
+    session.clean(build_relation(data))
+    assert session.base_registry is None  # nothing has read them yet
+    with tempfile.TemporaryDirectory() as scratch:
+        for number, step in enumerate(script):
+            if step[0] == "save":
+                path = f"{scratch}/s{number}.snap"
+                session.save(path)
+                session.close()
+                session = CleaningSession.restore(path)
+                assert session.base_registry is None
+                continue
+            changeset = _mixed_changeset(session.base, step)
+            if not changeset.ops:
+                continue
+            kept = session.base_registry
+            out = session.apply(changeset)
+            assert out.full_reclean == (out.decision != "scoped")
+            if kept is not None:
+                # Built once, then maintained — across full replays too.
+                assert session.base_registry is kept
+            if session.base_registry is not None:
+                session.base_registry.check_consistency(session.base)
+                # Each pair binds a live working store to its base twin.
+                for wstore, bstore in session._var_store_pairs:
+                    assert wstore is session.registry.cfd_store(wstore.cfd)
+                    assert bstore is session.base_registry.cfd_store(wstore.cfd)
+            reference = UniClean(
+                cfds=cfds, mds=MDS, master=master, config=CONFIGS[0]
+            ).clean(session.base)
+            assert state(out.repaired) == state(reference.repaired)
+            assert out.clean == reference.clean
+            assert {
+                cell: fix.kind for cell, fix in out.fix_log._latest.items()
+            } == {
+                cell: fix.kind for cell, fix in reference.fix_log._latest.items()
+            }
+            if out.full_reclean:
+                # A full replay is a from-scratch clean: same ordered log
+                # and the same cost, bit for bit.
+                assert _fix_fingerprint(out.fix_log) == _fix_fingerprint(
+                    reference.fix_log
+                )
+                assert out.cost == reference.cost
+
+
+class TestBaseSideStores:
+    @given(rows, mixed_steps)
+    @settings(max_examples=60, deadline=None)
+    # Scoped edit (builds the base stores), then an insert and a premise
+    # edit (full replays that must keep and maintain them), then a
+    # restore (which drops them until the next scoped apply).
+    @example(
+        [("k1", "a1", "b1", 0.0, 0.0, 0.0), ("k1", "a2", "b2", 0.0, 0.5, 0.0),
+         ("k2", "a1", "b2", 1.0, 0.0, 0.0)],
+        [("edit", 0, "B", "b2"), ("insert", "k1", "a1", "b1"),
+         ("edit", 1, "K", "k2"), ("save",), ("edit", 2, "A", "a2"),
+         ("delete", 0)],
+    )
+    def test_safe_rules_stream(self, data, script):
+        check_base_store_stream(data, script, SAFE_CFDS)
+
+    @given(rows, mixed_steps)
+    @settings(max_examples=40, deadline=None)
+    def test_chained_rules_stream(self, data, script):
+        check_base_store_stream(data, script, CFDS)
